@@ -7,10 +7,10 @@
 // broadcast, a queued second broadcast, and a full leader election) and
 // runs it, unchanged, against
 //   1. the deterministic discrete-event Simulator,
-//   2. the ThreadRuntime (one OS thread per process, codec-encoded
-//      mailboxes, genuine concurrency), and
-//   3. the SocketRuntime (real UDP datagrams over the loopback
-//      interface — every message crosses the kernel as a framed packet).
+//   2. the ThreadRuntime (the live runtime over in-process mailboxes: one
+//      OS thread per process, framed messages, genuine concurrency), and
+//   3. the SocketRuntime (the same live runtime over real UDP datagrams on
+//      the loopback interface — every message crosses the kernel).
 //
 // Build & run:  ./examples/example_service_client
 #include <cstdio>
@@ -92,6 +92,7 @@ int main() {
   for (int p = 0; p < kN; ++p)
     rt.add_process(std::make_unique<svc::ServiceHost>(host_config(p)));
   if (!client_program(rt, "ThreadRuntime (one thread per process)")) return 1;
+  rt.shutdown();
 
   // Backend 3: the real-wire runtime — same hosts, same program, but every
   // message is a UDP datagram through the kernel's loopback stack.

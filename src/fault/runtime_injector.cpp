@@ -11,23 +11,21 @@
 #include "svc/host.hpp"
 
 namespace snapstab::fault {
+namespace {
 
-RuntimeInjector::RuntimeInjector(const FaultPlan& plan,
-                                 runtime::ThreadRuntime& rt,
+// Whether partition window `w` cuts edge `e` (its ends on opposite sides).
+bool cuts(const sim::Topology& topo, const FaultWindow& w, sim::EdgeId e) {
+  const bool src_a = (w.partition_mask >> topo.edge_src(e)) & 1u;
+  const bool dst_a = (w.partition_mask >> topo.edge_dst(e)) & 1u;
+  return src_a != dst_a;
+}
+
+}  // namespace
+
+RuntimeInjector::RuntimeInjector(const FaultPlan& plan, live::Runtime& rt,
                                  RuntimeInjectorOptions options)
     : plan_(&plan),
       rt_(&rt),
-      options_(options),
-      rng_(plan.seed() ^ 0xFA17FA17FA17FA17ull) {
-  SNAPSTAB_CHECK_MSG(options_.step_duration.count() > 0,
-                     "step_duration must be positive");
-}
-
-RuntimeInjector::RuntimeInjector(const FaultPlan& plan,
-                                 net::SocketRuntime& srt,
-                                 RuntimeInjectorOptions options)
-    : plan_(&plan),
-      srt_(&srt),
       options_(options),
       rng_(plan.seed() ^ 0xFA17FA17FA17FA17ull) {
   SNAPSTAB_CHECK_MSG(options_.step_duration.count() > 0,
@@ -54,9 +52,9 @@ void RuntimeInjector::start() {
 void RuntimeInjector::stop() {
   stop_.store(true, std::memory_order_release);
   if (thread_.joinable()) thread_.join();
-  // Socket filters persist until cleared; an early stop() must still mean
+  // Edge filters persist until cleared; an early stop() must still mean
   // "the fault has ceased", so disarm whatever windows were mid-flight.
-  if (srt_ != nullptr) srt_->clear_edge_faults();
+  rt_->clear_edge_faults();
 }
 
 void RuntimeInjector::crash(sim::ProcessId p) {
@@ -69,35 +67,15 @@ void RuntimeInjector::crash(sim::ProcessId p) {
       proc.randomize(rng_);
     return 0;
   };
-  if (rt_ != nullptr)
-    rt_->with_process<sim::Process>(p, scramble);
-  else
-    srt_->with_process<sim::Process>(p, scramble);
+  rt_->with_process<sim::Process>(p, scramble);
   ++counters_.crashes;
 }
 
-void RuntimeInjector::garbage_fill(sim::EdgeId e) {
-  const sim::Topology& topo = rt_->topology();
-  runtime::Mailbox& mb =
-      rt_->mailbox_mut(topo.edge_src(e), topo.edge_dst(e));
-  while (mb.try_pop().has_value()) {
-  }
-  const std::size_t count = 1 + rng_.below(mb.capacity());
-  const int fwd_n = plan_->forward_header_n();
-  for (std::size_t i = 0; i < count; ++i)
-    mb.try_push(fwd_n > 0
-                    ? Message::random_forward(rng_, plan_->flag_limit(), fwd_n)
-                    : Message::random(rng_, plan_->flag_limit()));
-  ++counters_.garbage_bursts;
-}
-
-// Socket mode: garbage arrives as real datagrams on the victim's socket —
-// a burst of validly framed random messages on edge `e` (the in-channel
-// garbage of the paper's fault model) plus one raw-noise datagram that
-// must die in frame validation.
-void RuntimeInjector::garbage_datagrams(sim::EdgeId e) {
-  const sim::Topology& topo = srt_->topology();
-  const int dst = topo.edge_dst(e);
+// Garbage arrives on edge `e` as the paper's in-channel garbage: a burst
+// of validly framed random messages plus one raw-noise blob that must die
+// in frame validation. The noise goes last, so even a bounded mailbox
+// that keeps only its newest frames holds it after every burst.
+void RuntimeInjector::garbage(sim::EdgeId e) {
   const std::size_t count = 1 + rng_.below(3);
   const int fwd_n = plan_->forward_header_n();
   for (std::size_t i = 0; i < count; ++i) {
@@ -105,23 +83,22 @@ void RuntimeInjector::garbage_datagrams(sim::EdgeId e) {
         fwd_n > 0 ? Message::random_forward(rng_, plan_->flag_limit(), fwd_n)
                   : Message::random(rng_, plan_->flag_limit());
     const std::vector<std::uint8_t> frame = net::encode_frame(e, m);
-    srt_->inject_datagram(dst, frame.data(), frame.size());
+    rt_->inject(e, frame.data(), frame.size());
   }
   std::array<std::uint8_t, 48> noise;
   for (auto& b : noise) b = static_cast<std::uint8_t>(rng_.below(256));
-  srt_->inject_datagram(dst, noise.data(), noise.size());
+  rt_->inject(e, noise.data(), noise.size());
   ++counters_.garbage_bursts;
 }
 
-// Socket mode: windows arm the runtime's per-edge recv filter. Rates are
-// re-asserted every poll (cheap atomic stores), so overlapping windows
-// self-heal after one of them closes and clears the edge.
-void RuntimeInjector::apply_window_socket(const FaultWindow& w,
-                                          bool opening) {
-  const sim::Topology& topo = srt_->topology();
+// Filter windows are re-asserted every poll (cheap atomic stores), so
+// overlapping windows self-heal after one of them closes and clears the
+// edge.
+void RuntimeInjector::apply_window(const FaultWindow& w, bool opening) {
+  const sim::Topology& topo = rt_->topology();
   switch (w.kind) {
     case FaultKind::CrashRestart: {
-      if (srt_->hosts(w.process)) {
+      if (rt_->hosts(w.process)) {
         // Every poll re-scrambles: the process stays down for the window.
         crash(w.process);
         break;
@@ -133,120 +110,59 @@ void RuntimeInjector::apply_window_socket(const FaultWindow& w,
       break;
     }
     case FaultKind::ChannelGarbage:
-      if (opening || rng_.chance(w.rate)) garbage_datagrams(w.edge);
+      if (opening || rng_.chance(w.rate)) garbage(w.edge);
       break;
     case FaultKind::EdgeLoss:
-      srt_->set_edge_drop(w.edge, w.rate);
+      rt_->set_edge_drop(w.edge, w.rate);
       if (opening) ++counters_.drops;
       break;
     case FaultKind::EdgeDuplicate:
-      srt_->set_edge_duplicate(w.edge, w.rate);
+      rt_->set_edge_duplicate(w.edge, w.rate);
       if (opening) ++counters_.duplicates;
       break;
     case FaultKind::LinkPartition:
       for (sim::EdgeId e = 0; e < topo.edge_count(); ++e) {
-        const bool src_a = (w.partition_mask >> topo.edge_src(e)) & 1u;
-        const bool dst_a = (w.partition_mask >> topo.edge_dst(e)) & 1u;
-        if (src_a == dst_a) continue;
-        srt_->set_edge_down(e, true);
+        if (!cuts(topo, w, e)) continue;
+        rt_->set_edge_down(e, true);
         if (opening) ++counters_.partition_wipes;
       }
       break;
     case FaultKind::LinkDown:
-      srt_->set_edge_down(w.edge, true);
+      rt_->set_edge_down(w.edge, true);
       if (opening) ++counters_.down_wipes;
       break;
   }
 }
 
-// Socket mode: a closing window disarms whatever filter state it set. An
-// overlapping window on the same edge is re-asserted by the next poll's
-// apply pass, so the clear is at worst one poll_interval too wide.
+// A closing window disarms whatever filter state it set. An overlapping
+// window on the same edge is re-asserted by the next poll's apply pass, so
+// the clear is at worst one poll_interval too wide.
 void RuntimeInjector::close_window(const FaultWindow& w) {
-  if (srt_ == nullptr) return;  // mailbox effects have nothing to undo
-  const sim::Topology& topo = srt_->topology();
-  switch (w.kind) {
-    case FaultKind::CrashRestart:
-    case FaultKind::ChannelGarbage:
-      break;
-    case FaultKind::EdgeLoss:
-      srt_->set_edge_drop(w.edge, 0.0);
-      break;
-    case FaultKind::EdgeDuplicate:
-      srt_->set_edge_duplicate(w.edge, 0.0);
-      break;
-    case FaultKind::LinkPartition:
-      for (sim::EdgeId e = 0; e < topo.edge_count(); ++e) {
-        const bool src_a = (w.partition_mask >> topo.edge_src(e)) & 1u;
-        const bool dst_a = (w.partition_mask >> topo.edge_dst(e)) & 1u;
-        if (src_a != dst_a) srt_->set_edge_down(e, false);
-      }
-      break;
-    case FaultKind::LinkDown:
-      srt_->set_edge_down(w.edge, false);
-      break;
-  }
-}
-
-void RuntimeInjector::apply_window(const FaultWindow& w, bool opening) {
-  if (srt_ != nullptr) {
-    apply_window_socket(w, opening);
-    return;
-  }
   const sim::Topology& topo = rt_->topology();
   switch (w.kind) {
     case FaultKind::CrashRestart:
-      // Every poll re-scrambles: the process stays down for the window.
-      crash(w.process);
-      break;
     case FaultKind::ChannelGarbage:
-      if (opening || rng_.chance(w.rate)) garbage_fill(w.edge);
       break;
     case FaultKind::EdgeLoss:
-      if (!opening && rng_.chance(w.rate)) {
-        runtime::Mailbox& mb =
-            rt_->mailbox_mut(topo.edge_src(w.edge), topo.edge_dst(w.edge));
-        if (mb.try_pop().has_value()) ++counters_.drops;
-      }
+      rt_->set_edge_drop(w.edge, 0.0);
       break;
     case FaultKind::EdgeDuplicate:
-      if (!opening && rng_.chance(w.rate)) {
-        runtime::Mailbox& mb =
-            rt_->mailbox_mut(topo.edge_src(w.edge), topo.edge_dst(w.edge));
-        // Mailboxes have no peek: re-enqueue the popped head twice. The
-        // tail reordering is fair game under real concurrency.
-        if (auto m = mb.try_pop()) {
-          mb.try_push(*m);
-          if (mb.try_push(*m)) ++counters_.duplicates;
-        }
-      }
+      rt_->set_edge_duplicate(w.edge, 0.0);
       break;
     case FaultKind::LinkPartition:
-      for (sim::EdgeId e = 0; e < topo.edge_count(); ++e) {
-        const bool src_a = (w.partition_mask >> topo.edge_src(e)) & 1u;
-        const bool dst_a = (w.partition_mask >> topo.edge_dst(e)) & 1u;
-        if (src_a == dst_a) continue;
-        runtime::Mailbox& mb =
-            rt_->mailbox_mut(topo.edge_src(e), topo.edge_dst(e));
-        while (mb.try_pop().has_value()) ++counters_.partition_wipes;
-      }
+      for (sim::EdgeId e = 0; e < topo.edge_count(); ++e)
+        if (cuts(topo, w, e)) rt_->set_edge_down(e, false);
       break;
-    case FaultKind::LinkDown: {
-      // The edge is dead for the window: drain whatever arrived since the
-      // last poll.
-      runtime::Mailbox& mb =
-          rt_->mailbox_mut(topo.edge_src(w.edge), topo.edge_dst(w.edge));
-      while (mb.try_pop().has_value()) ++counters_.down_wipes;
+    case FaultKind::LinkDown:
+      rt_->set_edge_down(w.edge, false);
       break;
-    }
   }
 }
 
 void RuntimeInjector::thread_main() {
   // Garbage payloads intern into the runtime's pool, same rule as every
-  // node thread (see ThreadRuntime::thread_main).
-  ScopedStringPool pool_scope(rt_ != nullptr ? rt_->string_pool()
-                                             : srt_->string_pool());
+  // node thread (see live::Runtime).
+  ScopedStringPool pool_scope(rt_->string_pool());
   const auto epoch = std::chrono::steady_clock::now();
   const auto& events = plan_->events();
   const auto& windows = plan_->windows();

@@ -2,18 +2,17 @@
 //
 // The live-runtime counterpart of fault::Injector: a dedicated injection
 // thread maps the plan's step-clock window spans onto wall time (one step =
-// `step_duration`) and applies the same effects against real concurrency.
-// Two targets share the schedule machinery:
-//   * ThreadRuntime — crash-restart through with_process (under the node
-//     lock), channel garbage/loss/duplication/partition wipes against the
-//     internally synchronized mailboxes;
-//   * SocketRuntime — the same crash path for hosted nodes plus
-//     SIGKILL-based process crash for nodes registered as living in another
-//     OS process (set_node_pid), garbage bursts as real datagrams through
-//     inject_datagram (framed random messages and raw noise), and
-//     loss/duplication/LinkDown/partition as the runtime's socket-level
-//     per-edge filter between recv and dispatch — rates armed when a window
-//     opens, re-asserted every poll, cleared when it closes.
+// `step_duration`) and applies the same effects against real concurrency,
+// on either transport of live::Runtime alike:
+//   * crash-restart scrambles a hosted node through with_process (under
+//     its node lock), or delivers a real SIGKILL to a node registered as
+//     living in another OS process (set_node_pid);
+//   * channel garbage is a burst of validly framed random messages plus
+//     one raw-noise blob, injected on the edge — it meets the receive path
+//     like any frame, so the noise must die in frame validation;
+//   * loss, duplication, link-down and partition windows set the runtime's
+//     per-edge receive filter — rates armed when a window opens,
+//     re-asserted every poll, cleared when it closes.
 // Unlike the simulator path this is NOT replayable bit-for-bit (the whole
 // runtime is racy by design); what it preserves is the fault *schedule* and
 // the recovery contract under test: after stop() the fault has ceased and
@@ -32,8 +31,7 @@
 
 #include "common/rng.hpp"
 #include "fault/plan.hpp"
-#include "net/socket_runtime.hpp"
-#include "runtime/thread_runtime.hpp"
+#include "live/runtime.hpp"
 
 namespace snapstab::fault {
 
@@ -46,17 +44,15 @@ struct RuntimeInjectorOptions {
 
 class RuntimeInjector {
  public:
-  RuntimeInjector(const FaultPlan& plan, runtime::ThreadRuntime& rt,
-                  RuntimeInjectorOptions options = {});
-  RuntimeInjector(const FaultPlan& plan, net::SocketRuntime& srt,
+  RuntimeInjector(const FaultPlan& plan, live::Runtime& rt,
                   RuntimeInjectorOptions options = {});
   ~RuntimeInjector();  // stops and joins
 
   RuntimeInjector(const RuntimeInjector&) = delete;
   RuntimeInjector& operator=(const RuntimeInjector&) = delete;
 
-  // Socket mode, multi-process: declares that node `node` lives in OS
-  // process `pid`. A CrashRestart window targeting it delivers a real
+  // Multi-process worlds: declares that node `node` lives in OS process
+  // `pid`. A CrashRestart window targeting it delivers a real
   // SIGKILL when it opens (once per opening). Call before start().
   void set_node_pid(int node, ::pid_t pid);
 
@@ -72,11 +68,11 @@ class RuntimeInjector {
   struct Counters {
     std::uint64_t crashes = 0;
     std::uint64_t garbage_bursts = 0;
-    std::uint64_t drops = 0;
-    std::uint64_t duplicates = 0;
-    std::uint64_t partition_wipes = 0;
-    std::uint64_t down_wipes = 0;
-    std::uint64_t process_kills = 0;  // socket mode: SIGKILLs delivered
+    std::uint64_t drops = 0;            // loss windows opened
+    std::uint64_t duplicates = 0;       // duplication windows opened
+    std::uint64_t partition_wipes = 0;  // edges cut by opening partitions
+    std::uint64_t down_wipes = 0;       // link-down windows opened
+    std::uint64_t process_kills = 0;  // SIGKILLs delivered
   };
   // Stable only after stop().
   const Counters& counters() const noexcept { return counters_; }
@@ -85,14 +81,11 @@ class RuntimeInjector {
   void thread_main();
   void apply_window(const FaultWindow& w, bool opening);
   void close_window(const FaultWindow& w);
-  void apply_window_socket(const FaultWindow& w, bool opening);
   void crash(sim::ProcessId p);
-  void garbage_fill(sim::EdgeId e);
-  void garbage_datagrams(sim::EdgeId e);
+  void garbage(sim::EdgeId e);
 
   const FaultPlan* plan_;
-  runtime::ThreadRuntime* rt_ = nullptr;
-  net::SocketRuntime* srt_ = nullptr;
+  live::Runtime* rt_;
   RuntimeInjectorOptions options_;
   Rng rng_;
   std::unordered_map<int, ::pid_t> node_pids_;

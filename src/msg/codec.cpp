@@ -124,14 +124,19 @@ struct Reader {
 
 }  // namespace
 
-std::vector<std::uint8_t> encode(const Message& m, const StringPool& pool) {
-  std::vector<std::uint8_t> out;
-  out.reserve(32);
+void encode_to(std::vector<std::uint8_t>& out, const Message& m,
+               const StringPool& pool) {
   put_u8(out, static_cast<std::uint8_t>(m.kind));
   put_i32(out, m.state);
   put_i32(out, m.neig_state);
   put_value(out, m.b, pool);
   put_value(out, m.f, pool);
+}
+
+std::vector<std::uint8_t> encode(const Message& m, const StringPool& pool) {
+  std::vector<std::uint8_t> out;
+  out.reserve(32);
+  encode_to(out, m, pool);
   return out;
 }
 

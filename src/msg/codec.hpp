@@ -1,6 +1,6 @@
 // codec.hpp — binary wire format for Message.
 //
-// The thread runtime serializes every message through this codec so the
+// The live runtime serializes every message through this codec so the
 // protocols are exercised against a real byte-level wire format, not just
 // in-memory structs. decode() is total: any byte sequence either yields a
 // well-formed Message or nullopt — a corrupted datagram can never crash a
@@ -33,6 +33,9 @@
 namespace snapstab {
 
 std::vector<std::uint8_t> encode(const Message& m, const StringPool& pool);
+// Appends the encoding of `m` to `out` (encode() into an existing buffer).
+void encode_to(std::vector<std::uint8_t>& out, const Message& m,
+               const StringPool& pool);
 std::optional<Message> decode(const std::uint8_t* data, std::size_t size,
                               StringPool& pool);
 

@@ -23,7 +23,7 @@
 //     crossing pools crosses id spaces. Cross-thread transport goes through
 //     the codec, which resolves StrId ↔ bytes at the boundary.
 //
-// intern() and str() are thread-safe (ThreadRuntime nodes share their
+// intern() and str() are thread-safe (live-runtime nodes share their
 // runtime's pool); interning is rare — the hot path copies ids, not text.
 #ifndef SNAPSTAB_MSG_STRPOOL_HPP
 #define SNAPSTAB_MSG_STRPOOL_HPP

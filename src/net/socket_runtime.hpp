@@ -1,12 +1,14 @@
-// socket_runtime.hpp — the real-wire backend: one UDP socket per node.
+// socket_runtime.hpp — the live runtime over UDP sockets: the real wire.
 //
-// The third execution backend behind sim::ContextBackend, alongside the
-// deterministic Simulator and the in-process ThreadRuntime. Every node
-// binds a UDP socket on the loopback interface; every protocol message
-// crosses the kernel as a framed datagram (net/wire.hpp over msg::codec),
-// so the stack faces a channel that genuinely loses, duplicates and
-// reorders — the paper's unbounded-capacity lossy link, realized by an
-// actual network instead of a simulated adversary.
+// A live::Runtime (see live/runtime.hpp for the node loop, the receive
+// filter and the lifecycle) whose transport binds one UDP socket per hosted
+// node on the loopback interface. Every protocol message crosses the kernel
+// as a framed datagram (net/wire.hpp), so the stack faces a channel that
+// genuinely loses, duplicates and reorders — the paper's unbounded-capacity
+// lossy link, realized by an actual network instead of a simulated
+// adversary. Datagrams a busy process leaves unread queue in the kernel
+// socket buffer. A node's drain reads its one socket until it is empty or
+// the per-channel budget is spent.
 //
 // Hosting modes:
 //   * single process (default): one SocketRuntime hosts every node of the
@@ -17,38 +19,13 @@
 //     examples' `--node i` shape). Peers find each other through the
 //     shared port table; a SIGKILLed process can rebind its port and
 //     rejoin, which is what the fault engine's process-kill path tests.
-//
-// Receive path, per activation of a node thread (mirrors the
-// ThreadRuntime's one-message-per-channel budget):
-//   recvfrom -> decode_frame (corrupt/truncated datagrams counted and
-//   dropped, never delivered) -> edge validation (must terminate here) ->
-//   the fault filter (per-edge drop/duplicate/down, driven by
-//   fault::RuntimeInjector between recv and dispatch) ->
-//   Process::on_message, then on_tick. Datagrams a busy process leaves
-//   unread queue in the kernel socket buffer — the unbounded channel.
-//
-// Concurrency discipline is the ThreadRuntime's: process state only under
-// the node mutex, observation log under its own mutex with a monotonic
-// event counter, one shared StringPool. Unlike the one-shot ThreadRuntime
-// the node threads keep serving across run() calls until shutdown() —
-// real servers outlive one await batch.
 #ifndef SNAPSTAB_NET_SOCKET_RUNTIME_HPP
 #define SNAPSTAB_NET_SOCKET_RUNTIME_HPP
 
-#include <array>
-#include <atomic>
-#include <chrono>
 #include <cstdint>
-#include <functional>
-#include <memory>
-#include <mutex>
-#include <thread>
 #include <vector>
 
-#include "common/rng.hpp"
-#include "msg/strpool.hpp"
-#include "net/wire.hpp"
-#include "sim/process.hpp"
+#include "live/runtime.hpp"
 #include "sim/topology.hpp"
 
 namespace snapstab::net {
@@ -56,11 +33,9 @@ namespace snapstab::net {
 struct SocketRuntimeOptions {
   std::uint64_t seed = 1;  // seeds per-node protocol and filter RNGs
   // Receive-side injected datagram loss (on top of whatever the kernel
-  // genuinely drops): each accepted frame is discarded with this
-  // probability before dispatch. The bench ladder's loss knob.
+  // genuinely drops): each valid frame is discarded with this probability
+  // before dispatch. The bench ladder's loss knob.
   double loss_rate = 0.0;
-  // Pause between consecutive activations of one node thread.
-  std::chrono::microseconds activation_pause{20};
   // One UDP port per node (multi-process mode). Empty: every node binds
   // an ephemeral loopback port, which requires hosting all nodes here.
   std::vector<std::uint16_t> ports;
@@ -68,135 +43,25 @@ struct SocketRuntimeOptions {
   std::vector<int> local_nodes;
 };
 
-class SocketRuntime {
+class SocketRuntime final : public live::Runtime {
  public:
-  SocketRuntime(sim::Topology topology, SocketRuntimeOptions options = {});
+  using WireStats = live::Stats;
+
+  explicit SocketRuntime(sim::Topology topology,
+                         SocketRuntimeOptions options = {});
   // The paper's fully-connected network.
-  SocketRuntime(int process_count, SocketRuntimeOptions options = {});
-  ~SocketRuntime();
+  explicit SocketRuntime(int process_count, SocketRuntimeOptions options = {});
 
-  SocketRuntime(const SocketRuntime&) = delete;
-  SocketRuntime& operator=(const SocketRuntime&) = delete;
-
-  // Install exactly one process per hosted node, in ascending node order.
-  void add_process(std::unique_ptr<sim::Process> p);
-
-  int process_count() const noexcept { return n_; }
-  const sim::Topology& topology() const noexcept { return topology_; }
-  bool hosts(int node) const noexcept;
   // The UDP port node `node` is reachable on (actual bound port for
   // hosted nodes, the configured one for remote nodes).
   std::uint16_t port_of(int node) const;
 
-  // Spawns the node threads (idempotent; run() calls it on demand).
-  void start();
-  // Polls `done()` every millisecond until it holds or `timeout` elapses;
-  // returns whether it held. The threads keep serving afterwards — a
-  // SocketRuntime awaits as many batches as the driver likes.
-  bool run(const std::function<bool()>& done,
-           std::chrono::milliseconds timeout);
-  // Stops and joins the node threads. After shutdown() the runtime can no
-  // longer make progress; run() just polls once.
-  void shutdown();
-  bool running() const noexcept {
-    return started_.load(std::memory_order_acquire) &&
-           !stop_.load(std::memory_order_acquire);
-  }
-
-  // Executes `f` on hosted node `p` (cast to T) under its node lock.
-  template <typename T, typename F>
-  auto with_process(int p, F&& f) {
-    auto& node = local(p);
-    std::lock_guard<std::mutex> lock(node.mu);
-    return f(dynamic_cast<T&>(*node.process));
-  }
-
-  std::vector<sim::Observation> observations() const;
-  void observe_external(int process, sim::Layer layer, sim::ObsKind kind,
-                        int peer, const Value& value);
-  StringPool& string_pool() const noexcept { return *pool_; }
-
-  // --- wire accounting ----------------------------------------------------
-  struct WireStats {
-    std::uint64_t datagrams_sent = 0;
-    std::uint64_t datagrams_received = 0;
-    std::uint64_t delivered = 0;         // dispatched to on_message
-    std::uint64_t rejected_frames = 0;   // sum of the non-Ok results below
-    std::array<std::uint64_t, kWireFrameResultCount> by_result{};
-    std::uint64_t bad_edge = 0;       // frame named an edge not inbound here
-    std::uint64_t loss_drops = 0;     // options.loss_rate discards
-    std::uint64_t filter_drops = 0;   // fault-filter drop discards
-    std::uint64_t filter_duplicates = 0;
-    std::uint64_t down_drops = 0;     // fault-filter LinkDown discards
-  };
-  // Aggregated over every hosted node; safe to read concurrently.
-  WireStats wire_stats() const;
-
-  // --- the socket-level fault filter (fault::RuntimeInjector) -------------
-  // Installed between recv and dispatch on the receiving node; rates and
-  // flags are plain atomics so the injection thread flips them while the
-  // node threads run.
-  void set_edge_drop(sim::EdgeId e, double rate);
-  void set_edge_duplicate(sim::EdgeId e, double rate);
-  void set_edge_down(sim::EdgeId e, bool down);
-  void clear_edge_faults();
-
-  // Sends raw bytes to `dst_node`'s socket from a side-channel socket —
-  // the garbage-burst path (valid frames carrying random messages, or
-  // plain noise exercising the frame rejections). Returns whether the
+  // Sends raw bytes to `dst_node`'s socket from a side-channel socket:
+  // hostile traffic that names no edge of its own. Returns whether the
   // kernel accepted the datagram.
   bool inject_datagram(int dst_node, const void* data, std::size_t size);
 
- private:
-  struct Node {
-    int id = -1;
-    int fd = -1;
-    std::mutex mu;
-    std::unique_ptr<sim::Process> process;
-    std::thread thread;
-    Rng rng{0};         // protocol draws (Context::rng)
-    Rng filter_rng{0};  // loss/duplicate filter draws — separate stream so
-                        // the filter never perturbs protocol randomness
-  };
-  struct EdgeFault {
-    std::atomic<double> drop{0.0};
-    std::atomic<double> duplicate{0.0};
-    std::atomic<bool> down{false};
-  };
-  struct AtomicWireStats {
-    std::atomic<std::uint64_t> datagrams_sent{0};
-    std::atomic<std::uint64_t> datagrams_received{0};
-    std::atomic<std::uint64_t> delivered{0};
-    std::array<std::atomic<std::uint64_t>, kWireFrameResultCount> by_result{};
-    std::atomic<std::uint64_t> bad_edge{0};
-    std::atomic<std::uint64_t> loss_drops{0};
-    std::atomic<std::uint64_t> filter_drops{0};
-    std::atomic<std::uint64_t> filter_duplicates{0};
-    std::atomic<std::uint64_t> down_drops{0};
-  };
-  class NodeContext;
-
-  Node& local(int p);
-  void thread_main(Node& node);
-  bool send_frame(Node& node, sim::EdgeId e, const Message& m);
-
-  sim::Topology topology_;
-  int n_;
-  SocketRuntimeOptions options_;
-  StringPool* pool_;
-  std::vector<std::unique_ptr<Node>> locals_;   // hosted nodes, ascending id
-  std::vector<int> local_slot_;                 // node id -> locals_ index | -1
-  std::vector<std::uint16_t> port_table_;       // node id -> UDP port
-  std::unique_ptr<EdgeFault[]> edge_faults_;    // one per directed edge
-  int inject_fd_ = -1;
-  mutable std::mutex inject_mu_;
-
-  std::atomic<bool> started_{false};
-  std::atomic<bool> stop_{false};
-  AtomicWireStats stats_;
-  std::atomic<std::uint64_t> event_counter_{0};
-  mutable std::mutex log_mu_;
-  std::vector<sim::Observation> log_;
+  WireStats wire_stats() const { return stats(); }
 };
 
 }  // namespace snapstab::net

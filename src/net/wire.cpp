@@ -12,6 +12,7 @@ namespace {
 // field itself — version(1) + edge(4) + payload_len(4) at offset 4.
 constexpr std::size_t kSumFieldsOff = 4;
 constexpr std::size_t kSumFieldsLen = 9;
+constexpr std::size_t kPayloadLenOff = 9;
 constexpr std::size_t kChecksumOff = 13;
 
 void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
@@ -52,7 +53,7 @@ std::uint64_t frame_checksum(const std::uint8_t* frame,
                              std::size_t size) noexcept {
   SNAPSTAB_CHECK(size >= kWireHeaderSize);
   const std::size_t avail = size - kWireHeaderSize;
-  std::size_t payload_len = get_u32(frame + kSumFieldsOff + 5);
+  std::size_t payload_len = get_u32(frame + kPayloadLenOff);
   if (payload_len > avail) payload_len = avail;  // stay total
   std::uint64_t h = fnv1a(frame + kSumFieldsOff, kSumFieldsLen);
   return fnv1a(frame + kWireHeaderSize, payload_len, h);
@@ -69,15 +70,19 @@ void patch_checksum(std::vector<std::uint8_t>& frame) noexcept {
 std::vector<std::uint8_t> encode_frame(sim::EdgeId edge, const Message& m,
                                        const StringPool& pool) {
   SNAPSTAB_CHECK(edge >= 0);
-  const std::vector<std::uint8_t> payload = encode(m, pool);
   std::vector<std::uint8_t> out;
-  out.reserve(kWireHeaderSize + payload.size());
+  out.reserve(kWireHeaderSize + 32);
   put_u32(out, kWireMagic);
   out.push_back(kWireVersion);
   put_u32(out, static_cast<std::uint32_t>(edge));
-  put_u32(out, static_cast<std::uint32_t>(payload.size()));
+  put_u32(out, 0);  // payload_len placeholder
   put_u64(out, 0);  // checksum placeholder
-  out.insert(out.end(), payload.begin(), payload.end());
+  encode_to(out, m, pool);
+  const auto payload_len =
+      static_cast<std::uint32_t>(out.size() - kWireHeaderSize);
+  for (int i = 0; i < 4; ++i)
+    out[kPayloadLenOff + static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>(payload_len >> (8 * i));
   patch_checksum(out);
   return out;
 }
@@ -100,7 +105,7 @@ DecodedFrame decode_frame(const std::uint8_t* data, std::size_t size,
     return out;
   }
   const std::size_t avail = size - kWireHeaderSize;
-  const std::size_t payload_len = get_u32(data + 9);
+  const std::size_t payload_len = get_u32(data + kPayloadLenOff);
   // The mutant tolerates trailing garbage (payload_len <= avail) but can
   // never read past the datagram, so an armed run stays memory-safe.
   if (!MUTATION_POINT("net.frame.loose_length", (payload_len == avail),

@@ -1,7 +1,8 @@
-// wire.hpp — the datagram frame of the real-wire runtime.
+// wire.hpp — the frame every live-runtime message travels in.
 //
-// The SocketRuntime moves every protocol message as one UDP datagram:
-// the msg::codec payload (already total against arbitrary bytes) wrapped
+// The live runtime moves every protocol message as one frame — a UDP
+// datagram on the socket transport, a mailbox entry in-process: the
+// msg::codec payload (already total against arbitrary bytes) wrapped
 // in a fixed header that lets a receiver route and validate a datagram
 // before any protocol code sees it:
 //

@@ -2,28 +2,32 @@
 
 namespace snapstab::runtime {
 
-bool Mailbox::try_push(const Message& m) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (slots_.size() >= capacity_) {
-    ++stats_.lost_on_full;
-    return false;
-  }
-  slots_.push_back(encode(m, *pool_));
+void Mailbox::push_locked(Frame frame) {
+  ring_[(head_ + size_) % ring_.size()] = std::move(frame);
+  ++size_;
   ++stats_.pushed;
+}
+
+bool Mailbox::force_push(Frame frame) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (ring_.empty()) return false;
+  if (size_ == ring_.size()) {
+    head_ = (head_ + 1) % ring_.size();
+    --size_;
+    ++stats_.overwritten;
+  }
+  push_locked(std::move(frame));
   return true;
 }
 
-std::optional<Message> Mailbox::try_pop() {
+std::optional<Mailbox::Frame> Mailbox::try_pop() {
   std::lock_guard<std::mutex> lock(mu_);
-  while (!slots_.empty()) {
-    std::vector<std::uint8_t> bytes = std::move(slots_.front());
-    slots_.pop_front();
-    ++stats_.popped;
-    auto decoded = decode(bytes, *pool_);
-    if (decoded.has_value()) return decoded;
-    ++stats_.decode_failures;  // corrupted datagram: drop and continue
-  }
-  return std::nullopt;
+  if (size_ == 0) return std::nullopt;
+  Frame frame = std::move(ring_[head_]);
+  head_ = (head_ + 1) % ring_.size();
+  --size_;
+  ++stats_.popped;
+  return frame;
 }
 
 Mailbox::Stats Mailbox::stats() const {

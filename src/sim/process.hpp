@@ -21,7 +21,7 @@
 // Simulator it calls straight into the engine (every method inlines — the
 // simulator's step loop pays no virtual dispatch for the millions of
 // send/observe/rng calls of a bulk run); bound to a ContextBackend it
-// forwards through one virtual hop (the thread runtime, external hosts).
+// forwards through one virtual hop (the live runtime, external hosts).
 // The sim-path method bodies live at the bottom of sim/simulator.hpp —
 // translation units that *call* Context methods must include it.
 #ifndef SNAPSTAB_SIM_PROCESS_HPP
@@ -38,7 +38,7 @@ namespace snapstab::sim {
 class Simulator;
 
 // Host interface for contexts not bound to a Simulator. Implemented by the
-// thread runtime's per-node context and by any external execution harness;
+// live runtime's per-node context and by any external execution harness;
 // the semantics of each method are those documented on Context below.
 class ContextBackend {
  public:
@@ -56,7 +56,7 @@ class Context final {
   // Sim backend: bound to (simulator, acting process) for one atomic step.
   Context(Simulator& sim, ProcessId self) noexcept
       : sim_(&sim), self_(self) {}
-  // Generic backend (thread runtime, external hosts).
+  // Generic backend (live runtime, external hosts).
   explicit Context(ContextBackend& backend) noexcept : backend_(&backend) {}
 
   // Number of incident channels (n - 1 in the fully-connected topology).

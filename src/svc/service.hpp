@@ -12,7 +12,7 @@
 // Sessions are keyed by (origin, service, seq): `origin` is the submitting
 // process, `seq` a per-host monotonic submission counter. The key is stable
 // across backends — the same program submitted in the same order against
-// the Simulator and the ThreadRuntime produces the same keys.
+// the Simulator and a live runtime produces the same keys.
 #ifndef SNAPSTAB_SVC_SERVICE_HPP
 #define SNAPSTAB_SVC_SERVICE_HPP
 

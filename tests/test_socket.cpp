@@ -9,10 +9,9 @@
 //     while live sessions keep completing;
 //   * injected loss: the flag-counting handshake recovers from ≥15%
 //     datagram loss (seeded — the failure message is the repro line);
-//   * the fault engine: a compiled FaultPlan drives the socket-level
-//     drop/duplicate/LinkDown filter and garbage datagrams, and after the
-//     storm ceases fresh sessions complete (the snap-stabilization
-//     contract);
+//   * the supervisor: run_all and sprayed hedges over real sockets (the
+//     fault engine's storm test runs on both transports in
+//     test_runtime.cpp);
 //   * multi-process: a forked child hosts one node on a fixed port; a real
 //     SIGKILL stalls the protocol, a respawned child lets it finish — and
 //     the injector delivers the SIGKILL itself via set_node_pid.
@@ -29,7 +28,6 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <memory>
@@ -46,6 +44,7 @@
 #include "net/wire.hpp"
 #include "svc/client.hpp"
 #include "svc/host.hpp"
+#include "svc/supervisor.hpp"
 
 namespace snapstab {
 namespace {
@@ -450,63 +449,42 @@ TEST(SocketLoopback, RecoversFromInjectedDatagramLoss) {
 }
 
 // ---------------------------------------------------------------------------
-// The fault engine against real sockets.
+// The supervisor over real sockets.
 // ---------------------------------------------------------------------------
 
-TEST(SocketFault, InjectorStormCeasesAndFreshSessionsComplete) {
-  const int n = 4;
+TEST(SocketSupervisor, SprayedHedgesSettleOkOverSockets) {
+  // The supervisor's live path over the socket transport: run_all awaits
+  // the runtime and hedge_origin sprays backups across the world's nodes.
+  const int n = 3;
   const sim::Topology topo = sim::Topology::complete(n);
-  net::SocketRuntime srt(topo, {.seed = 47});
-  for (int p = 0; p < n; ++p)
-    srt.add_process(std::make_unique<core::PifProcess>(n - 1, 1));
-
-  fault::FaultPlanSpec fs;
-  fs.seed = 47;
-  fs.horizon = 400;
-  fs.min_len = 20;
-  fs.max_len = 80;
-  fs.crash_windows = 2;
-  fs.garbage_windows = 3;
-  fs.loss_windows = 3;
-  fs.duplicate_windows = 2;
-  fs.rate = 0.4;
-  const fault::FaultPlan plan = fault::FaultPlan::compile(fs, topo);
-  ASSERT_FALSE(plan.empty());
-
-  fault::RuntimeInjectorOptions io;
-  io.step_duration = std::chrono::microseconds(200);
-  io.poll_interval = std::chrono::milliseconds(1);
-  fault::RuntimeInjector inj(plan, srt, io);
-  srt.start();
-  inj.start();
-
-  // Ride out the storm, then the snap-stabilization contract: a fresh
-  // request completes once the fault has ceased.
-  std::atomic<bool> requested{false};
-  const bool ok = srt.run(
-      [&srt, &inj, &requested] {
-        if (!inj.done()) return false;  // the fault still rages
-        return srt.with_process<core::PifProcess>(
-            0, [&requested](core::PifProcess& p) {
-              if (!requested.load()) {
-                if (!p.pif().done()) return false;
-                p.pif().request(Value::text("post-storm"));
-                requested.store(true);
-                return false;
-              }
-              return p.pif().done();
-            });
-      },
-      30'000ms);
-  inj.stop();
+  net::SocketRuntime srt(topo, {.seed = 4242});
+  for (int p = 0; p < n; ++p) {
+    svc::HostConfig cfg;
+    cfg.id = 10 + p;
+    cfg.degree = topo.degree(p);
+    cfg.channel_capacity = 1;
+    cfg.with_election = true;
+    srt.add_process(std::make_unique<svc::ServiceHost>(cfg));
+  }
+  svc::Client client(srt);
+  svc::SuperviseOptions so;
+  so.attempt_deadline = 30'000;  // ms
+  so.hedge.enabled = true;
+  so.hedge.spray_origins = true;
+  so.hedge.hedge_after = 1;  // back every attempt up almost at once
+  svc::Supervisor sup(client, so);
+  const auto pif = sup.supervise(0, svc::PifBroadcast{Value::integer(77)});
+  const auto election = sup.supervise(1, svc::Election{});
+  const bool settled = sup.run_all({.timeout = 60'000ms});
   srt.shutdown();
-  EXPECT_TRUE(ok) << "post-storm request did not complete; "
-                  << plan.repro_line();
-  EXPECT_GT(inj.counters().crashes, 0u) << plan.repro_line();
-  EXPECT_GT(inj.counters().garbage_bursts, 0u) << plan.repro_line();
-  // Every garbage burst carries one raw-noise datagram that must die in
-  // frame validation.
-  EXPECT_GT(srt.wire_stats().rejected_frames, 0u) << plan.repro_line();
+  EXPECT_TRUE(settled);
+  ASSERT_TRUE(sup.terminal(pif));
+  ASSERT_TRUE(sup.terminal(election));
+  EXPECT_EQ(sup.outcome(pif), svc::SessionOutcome::Ok);
+  EXPECT_EQ(sup.outcome(election), svc::SessionOutcome::Ok);
+  EXPECT_EQ(sup.result(pif).value, Value::integer(77));
+  EXPECT_EQ(sup.result(election).min_id, 10);
+  EXPECT_GT(sup.stats().hedges_launched, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@
 #include "core/forward_world.hpp"
 #include "core/specs.hpp"
 #include "core/stack.hpp"
+#include "runtime/thread_runtime.hpp"
 #include "sim/fuzz.hpp"
 #include "sim/simulator.hpp"
 #include "svc/client.hpp"
@@ -422,9 +423,11 @@ TEST(SvcAwait, ThreadRuntimeTimeoutReturnsFalseAndSecondAwaitDoesNotCrash) {
   AwaitOptions opts;
   opts.timeout = std::chrono::milliseconds(50);
   EXPECT_FALSE(client.run_until(s, opts));
-  // The runtime is one-shot; a retry after the timeout must poll and
-  // report false, not trip the one-shot assertion.
+  // The runtime keeps serving after a timeout: a retry awaits again and,
+  // with the wave still impossible, times out again as a retryable budget
+  // loss while the runtime is live.
   EXPECT_FALSE(client.run_until(s, opts));
+  EXPECT_EQ(client.await_all({s}, opts), AwaitResult::BudgetExhausted);
   EXPECT_FALSE(client.done(s));
 }
 
@@ -665,8 +668,8 @@ TEST(SvcAwait, SimulatorBudgetVerdictIsTypedAndRetryable) {
   // a bigger budget finishes the same session. (A quiescent Simulator with
   // incomplete sessions would read RuntimeDown, but the snap-stabilizing
   // protocols retransmit: even a fully wiped channel set re-enables, which
-  // is exactly why the typed verdict matters on the ThreadRuntime, where
-  // the one-shot run really can die under the await.)
+  // is exactly why the typed verdict matters on a live runtime, which
+  // really can be shut down under the await.)
   AwaitOptions tight;
   tight.max_steps = 2;
   EXPECT_EQ(client.await_all({s}, tight), AwaitResult::BudgetExhausted);
@@ -679,10 +682,10 @@ TEST(SvcAwait, SimulatorBudgetVerdictIsTypedAndRetryable) {
 
 TEST(SvcAwait, ThreadRuntimeDistinguishesTimeoutFromDeadRuntime) {
   const int n = 3;
-  // Total loss: the wave cannot complete, so the first await ends at the
-  // wall budget while the runtime is still live — BudgetExhausted. The
-  // runtime is one-shot, so after that run the threads have joined and a
-  // second await can only report RuntimeDown.
+  // Total loss: the wave cannot complete, so every await ends at the wall
+  // budget. While the runtime is live that is BudgetExhausted, however
+  // often it is retried; only after shutdown() has joined the threads can
+  // an await report RuntimeDown.
   runtime::ThreadRuntime rt(n, {.loss_rate = 1.0, .seed = 95});
   for (int i = 0; i < n; ++i)
     rt.add_process(std::make_unique<core::PifProcess>(n - 1, 1));
@@ -691,6 +694,8 @@ TEST(SvcAwait, ThreadRuntimeDistinguishesTimeoutFromDeadRuntime) {
   AwaitOptions opts;
   opts.timeout = std::chrono::milliseconds(50);
   EXPECT_EQ(client.await_all({s}, opts), AwaitResult::BudgetExhausted);
+  EXPECT_EQ(client.await_all({s}, opts), AwaitResult::BudgetExhausted);
+  rt.shutdown();
   EXPECT_EQ(client.await_all({s}, opts), AwaitResult::RuntimeDown);
   EXPECT_FALSE(client.done(s));
 }
