@@ -16,8 +16,6 @@
 namespace snapstab::bench {
 namespace {
 
-using core::IdlProcess;
-using core::PifProcess;
 using sim::Simulator;
 
 struct FlagCell {
@@ -26,7 +24,7 @@ struct FlagCell {
   int violations = 0;
 };
 
-// A PifProcess variant with an explicit flag bound (ablation only).
+// A PIF-only host variant with an explicit flag bound (ablation only).
 class AblatedPifProcess final : public sim::Process {
  public:
   AblatedPifProcess(int degree, std::int32_t flag_bound)
@@ -112,21 +110,24 @@ OrderCell order_ablation(bool unsafe_order, int n, int trials,
 
     Simulator world(n, 1, seed);
     for (int i = 0; i < n; ++i)
-      world.add_process(std::make_unique<IdlProcess>(
-          ids[static_cast<std::size_t>(i)], n - 1, 1, unsafe_order));
+      world.add_process(std::make_unique<svc::ServiceHost>(svc::HostConfig{
+          .id = ids[static_cast<std::size_t>(i)],
+          .degree = n - 1,
+          .with_idl = true,
+          .unsafe_lower_layer_first = unsafe_order}));
     Rng rng(seed ^ 0xAB1A);
     sim::fuzz(world, rng);
     world.set_scheduler(std::make_unique<sim::RandomScheduler>(seed + 1));
-    for (int p = 0; p < n; ++p) core::request_idl(world, p);
-    const auto reason = world.run(3'000'000, [n](Simulator& s) {
-      for (int p = 0; p < n; ++p)
-        if (!s.process_as<IdlProcess>(p).idl().done()) return false;
-      return true;
-    });
-    if (reason != Simulator::StopReason::Predicate) continue;
-    ++cell.runs;
+    svc::Client client(world);
+    std::vector<svc::Session> sessions;
     for (int p = 0; p < n; ++p)
-      if (world.process_as<IdlProcess>(p).idl().min_id() != true_min) {
+      sessions.push_back(client.submit(p, svc::Idl{}));
+    if (client.await_all(sessions, {.max_steps = 3'000'000}) !=
+        svc::AwaitResult::Done)
+      continue;
+    ++cell.runs;
+    for (const svc::Session& s : sessions)
+      if (client.result(s).min_id != true_min) {
         ++cell.poisoned;
         break;
       }

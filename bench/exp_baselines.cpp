@@ -19,7 +19,6 @@ namespace {
 
 using baselines::NaivePifProcess;
 using baselines::SeqPifProcess;
-using core::PifProcess;
 using sim::Simulator;
 
 constexpr int kRequests = 5;
@@ -40,7 +39,7 @@ void submit(Simulator& world, Kind kind, int round) {
   const Value payload = round_payload(round);
   switch (kind) {
     case Kind::Snap:
-      core::request_pif(world, 0, payload);
+      world.process_as<svc::ServiceHost>(0).pif().request(payload);
       break;
     case Kind::Naive:
       dynamic_cast<NaivePifProcess&>(world.process(0)).request(payload);
@@ -54,7 +53,7 @@ void submit(Simulator& world, Kind kind, int round) {
 bool is_done(Simulator& world, Kind kind) {
   switch (kind) {
     case Kind::Snap:
-      return world.process_as<PifProcess>(0).pif().done();
+      return world.process_as<svc::ServiceHost>(0).pif().done();
     case Kind::Naive:
       return dynamic_cast<NaivePifProcess&>(world.process(0)).done();
     case Kind::Seq:
@@ -72,7 +71,8 @@ Curve run_curve(Kind kind, int k, int n, int trials, std::uint64_t seed0) {
     for (int i = 0; i < n; ++i) {
       switch (kind) {
         case Kind::Snap:
-          world.add_process(std::make_unique<PifProcess>(n - 1, 1));
+          world.add_process(std::make_unique<svc::ServiceHost>(
+              svc::HostConfig{.degree = n - 1}));
           break;
         case Kind::Naive:
           world.add_process(std::make_unique<NaivePifProcess>(n - 1));

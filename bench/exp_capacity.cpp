@@ -6,12 +6,11 @@
 // computation (the handshake deepens linearly in c). Also reproduces the
 // *mismatch* failure: a protocol believing c' < c channels can be fooled.
 #include "exp_common.hpp"
-#include "trial_runner.hpp"
+#include "load/shard.hpp"
 
 namespace snapstab::bench {
 namespace {
 
-using core::PifProcess;
 using sim::Simulator;
 
 struct Cell {
@@ -30,7 +29,7 @@ Cell run_cell(int c, int n, int trials, std::uint64_t seed0, int threads) {
     double rounds = 0;
     double sends = 0;
   };
-  const auto outcomes = run_trials(trials, threads, [&](int t) {
+  const auto outcomes = load::parallel_shards(trials, threads, [&](int t) {
     Trial out;
     const std::uint64_t seed = seed0 + static_cast<std::uint64_t>(t);
     auto world = pif_world(n, c, seed);
@@ -39,11 +38,7 @@ Cell run_cell(int c, int n, int trials, std::uint64_t seed0, int threads) {
     fuzz_opts.flag_limit = 2 * c + 2;
     sim::fuzz(*world, rng, fuzz_opts);
     world->set_scheduler(std::make_unique<sim::RoundRobinScheduler>(seed));
-    core::request_pif(*world, 0, Value::integer(t));
-    const auto reason = world->run(5'000'000, [](Simulator& s) {
-      return s.process_as<PifProcess>(0).pif().done();
-    });
-    if (reason != Simulator::StopReason::Predicate) {
+    if (!broadcast(*world, 0, Value::integer(t), 5'000'000)) {
       out.violation = true;
       return out;
     }
@@ -72,17 +67,19 @@ Cell run_cell(int c, int n, int trials, std::uint64_t seed0, int threads) {
 // decision happened.
 bool mismatch_attack(int believed, int real) {
   Simulator world(2, static_cast<std::size_t>(real), 1);
-  world.add_process(std::make_unique<PifProcess>(1, believed));
-  world.add_process(std::make_unique<PifProcess>(1, believed));
+  world.add_process(std::make_unique<svc::ServiceHost>(
+      svc::HostConfig{.degree = 1, .channel_capacity = believed}));
+  world.add_process(std::make_unique<svc::ServiceHost>(
+      svc::HostConfig{.degree = 1, .channel_capacity = believed}));
   const int flag_bound = 2 * believed + 2;
   for (std::int32_t flag = 0; flag < flag_bound && flag < real; ++flag)
     world.network().channel(1, 0).push(
         Message::pif(Value::text("stale"), Value::text("stale"), 0, flag));
-  core::request_pif(world, 0, Value::text("real"));
+  svc::Client(world).submit(0, svc::PifBroadcast{Value::text("real")});
   world.execute(sim::Step::tick(0));
   for (int i = 0; i < real; ++i) world.execute(sim::Step::deliver(1, 0));
   world.execute(sim::Step::tick(0));
-  return world.process_as<PifProcess>(0).pif().done();
+  return world.process_as<svc::ServiceHost>(0).pif().done();
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -18,9 +19,10 @@
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "core/specs.hpp"
-#include "core/stack.hpp"
 #include "sim/fuzz.hpp"
 #include "sim/simulator.hpp"
+#include "svc/client.hpp"
+#include "svc/host.hpp"
 
 namespace snapstab::bench {
 
@@ -164,18 +166,42 @@ inline std::unique_ptr<sim::Simulator> pif_world(int n, int capacity,
   auto world = std::make_unique<sim::Simulator>(
       n, static_cast<std::size_t>(capacity), seed);
   for (int i = 0; i < n; ++i)
-    world->add_process(std::make_unique<core::PifProcess>(n - 1, capacity));
+    world->add_process(std::make_unique<svc::ServiceHost>(
+        svc::HostConfig{.degree = n - 1, .channel_capacity = capacity}));
   return world;
 }
 
 // Builds an ME world with ids 1..n (process 0 is the leader).
-inline std::unique_ptr<sim::Simulator> me_world(
-    int n, std::uint64_t seed, core::StackOptions options = {}) {
+inline std::unique_ptr<sim::Simulator> me_world(int n, std::uint64_t seed,
+                                                core::MeOptions me = {}) {
   auto world = std::make_unique<sim::Simulator>(n, 1, seed);
   for (int i = 0; i < n; ++i)
-    world->add_process(
-        std::make_unique<core::MeStackProcess>(i + 1, n - 1, options));
+    world->add_process(std::make_unique<svc::ServiceHost>(svc::HostConfig{
+        .id = i + 1, .degree = n - 1, .with_me = true, .me_options = me}));
   return world;
+}
+
+// Worker count for `trials` independent trials fanned with
+// load::parallel_shards: the --threads flag when given (0 = auto),
+// otherwise all hardware threads, never more than one per trial.
+inline int trial_thread_count(const CliArgs& args, int trials) {
+  int threads = static_cast<int>(args.get_int("threads", 0));
+  if (threads <= 0) {
+    const unsigned hw = std::thread::hardware_concurrency();
+    threads = hw != 0 ? static_cast<int>(hw) : 1;
+  }
+  if (threads > trials) threads = trials;
+  return threads > 0 ? threads : 1;
+}
+
+// Submits a broadcast session of `b` at `p` and awaits it: true when it
+// completed within `max_steps`. After a fuzz the session first queues
+// behind p's ghost computation, so the wait covers that drain too.
+inline bool broadcast(sim::Simulator& world, sim::ProcessId p, const Value& b,
+                      std::uint64_t max_steps) {
+  svc::Client client(world);
+  return client.await_all({client.submit(p, svc::PifBroadcast{b})},
+                          {.max_steps = max_steps}) == svc::AwaitResult::Done;
 }
 
 // Round count when the world runs under a RoundRobinScheduler.

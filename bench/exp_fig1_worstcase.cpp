@@ -14,15 +14,14 @@
 namespace snapstab::bench {
 namespace {
 
-using core::PifProcess;
 using sim::Simulator;
 using sim::Step;
 
 void part1_walkthrough() {
   std::printf("--- Part 1: the Figure-1 scenario, step by step ---\n");
   auto world = pif_world(2, 1, 1);
-  auto& p = world->process_as<PifProcess>(0).pif();
-  auto& q = world->process_as<PifProcess>(1).pif();
+  auto& p = world->process_as<svc::ServiceHost>(0).pif();
+  auto& q = world->process_as<svc::ServiceHost>(1).pif();
   auto& net = world->network();
 
   net.channel(1, 0).push(
@@ -30,7 +29,7 @@ void part1_walkthrough() {
   net.channel(0, 1).push(
       Message::pif(Value::text("stale"), Value::text("stale"), 2, 1));
   q.mutable_state().neig_state[0] = 1;
-  core::request_pif(*world, 0, Value::text("m"));
+  svc::Client(*world).submit(0, svc::PifBroadcast{Value::text("m")});
   q.request(Value::text("mq"));
 
   TextTable timeline({"step", "event", "State_p[q]", "note"});
@@ -94,17 +93,17 @@ SweepResult part2_sweep() {
           if (m2 < 25)
             net.channel(0, 1).push(Message::pif(
                 Value::text("j"), Value::text("j"), m2 / 5, m2 % 5));
-          auto& q = world->process_as<PifProcess>(1).pif();
+          auto& q = world->process_as<svc::ServiceHost>(1).pif();
           q.mutable_state().neig_state[0] = qneig;
           if (qstarts != 0) q.request(Value::text("mq"));
-          core::request_pif(*world, 0, Value::text("m"));
+          svc::Client(*world).submit(0, svc::PifBroadcast{Value::text("m")});
           sim::RoundRobinScheduler scheduler(
               static_cast<std::uint64_t>(m1 * 1000 + m2 * 10 + qneig));
 
           // Step manually so p's flag can be sampled the moment q first
           // generates the receive-brd for m: every increment before that
           // moment ran on stale fuel (Lemma 4 bounds them by 2c+1 = 3).
-          auto& p = world->process_as<PifProcess>(0).pif();
+          auto& p = world->process_as<svc::ServiceHost>(0).pif();
           int state_at_first_brd = -1;
           bool decided = false;
           std::size_t seen_events = 0;

@@ -11,15 +11,13 @@
 // delivered exactly once, ghosts within the corruption budget. Cost
 // metrics: steps and hop transfers per delivered payload.
 #include "exp_common.hpp"
-#include "trial_runner.hpp"
 
 #include "core/forward_world.hpp"
+#include "load/shard.hpp"
 
 namespace snapstab::bench {
 namespace {
 
-using core::ForwardProcess;
-using sim::Simulator;
 using sim::Topology;
 
 constexpr std::int64_t kBase = 1'000'000;
@@ -52,7 +50,10 @@ struct Cell {
 Trial run_trial(const std::string& family, int n, double loss, int payloads,
                 std::uint64_t seed) {
   Trial out;
-  auto world = core::forward_world(make_topology(family, n, seed), 1, seed);
+  auto world = svc::service_world(
+      make_topology(family, n, seed), 1, seed,
+      [](sim::ProcessId) { return svc::HostConfig{.with_pif = false}; },
+      /*with_forward=*/true);
 
   Rng fuzz_rng(seed * 13 + 1);
   sim::FuzzOptions fuzz_opts;
@@ -61,34 +62,26 @@ Trial run_trial(const std::string& family, int n, double loss, int payloads,
   sim::fuzz(*world, fuzz_rng, fuzz_opts);
   const std::uint64_t budget = core::forward_ghost_budget(*world);
 
+  svc::Client client(*world);
   Rng pick(seed * 17 + 3);
-  int accepted = 0;
-  while (accepted < payloads) {
+  std::vector<svc::Session> sessions;
+  while (static_cast<int>(sessions.size()) < payloads) {
     const auto origin =
         static_cast<int>(pick.below(static_cast<std::uint64_t>(n)));
     const auto dst =
         static_cast<int>(pick.below(static_cast<std::uint64_t>(n)));
-    if (core::request_forward(*world, origin, dst,
-                              Value::integer(kBase + accepted)))
-      ++accepted;
+    const svc::Session s = client.submit(
+        origin,
+        svc::ForwardMsg{.dst = dst,
+                        .payload = Value::integer(
+                            kBase + static_cast<int>(sessions.size()))});
+    if (s.accepted()) sessions.push_back(s);
   }
 
   world->set_scheduler(std::make_unique<sim::RandomScheduler>(
       seed + 5, sim::LossOptions{.rate = loss, .max_consecutive = 6}));
-  auto scanned = std::make_shared<std::size_t>(0);
-  auto matched = std::make_shared<int>(0);
-  const auto reason = world->run(
-      20'000'000, [scanned, matched, payloads](Simulator& s) {
-        const auto& events = s.log().events();
-        for (; *scanned < events.size(); ++*scanned) {
-          const auto& e = events[*scanned];
-          if (e.layer == sim::Layer::Service &&
-              e.kind == sim::ObsKind::FwdDeliver && e.value.as_int() >= kBase)
-            ++*matched;
-        }
-        return *matched >= payloads;
-      });
-  if (reason != Simulator::StopReason::Predicate) {
+  if (client.await_all(sessions, {.max_steps = 20'000'000}) !=
+      svc::AwaitResult::Done) {
     // A blown step budget is an incompleteness, not an exactly-once
     // violation; it is reported in its own column / JSON key.
     return out;
@@ -98,7 +91,7 @@ Trial run_trial(const std::string& family, int n, double loss, int payloads,
   std::uint64_t hops = 0;
   std::uint64_t ghosts = 0;
   for (int p = 0; p < n; ++p)
-    hops += world->process_as<ForwardProcess>(p).forward().hops_acked();
+    hops += world->process_as<svc::ServiceHost>(p).forward().hops_acked();
   for (const auto& e : world->log().events())
     if (e.layer == sim::Layer::Service &&
         e.kind == sim::ObsKind::FwdDeliver && e.value.as_int() < kBase)
@@ -113,7 +106,7 @@ Trial run_trial(const std::string& family, int n, double loss, int payloads,
 
 Cell run_cell(const std::string& family, int n, double loss, int payloads,
               int trials, std::uint64_t seed0, int threads) {
-  const auto outcomes = run_trials(trials, threads, [&](int t) {
+  const auto outcomes = load::parallel_shards(trials, threads, [&](int t) {
     return run_trial(family, n, loss, payloads,
                      seed0 + static_cast<std::uint64_t>(t));
   });

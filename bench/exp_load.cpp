@@ -141,7 +141,7 @@ int main(int argc, char** argv) {
       WorkloadSpec spec = base_spec(mix);
       configure(spec);
       if (is_cs) {
-        // The ME stack assumes the complete graph (every MeStackProcess is
+        // The ME stack assumes the complete graph (every ME host is
         // built with degree n-1), and grants complete one per host phase
         // cycle — pin the CS cell to a small complete world with a
         // proportionate target, and run it once, not per ladder rung.

@@ -7,12 +7,11 @@
 // (the initiator handshakes with n-1 neighbors), and corruption adds only a
 // constant number of extra exchanges (the stale fuel of Figure 1).
 #include "exp_common.hpp"
-#include "trial_runner.hpp"
+#include "load/shard.hpp"
 
 namespace snapstab::bench {
 namespace {
 
-using core::PifProcess;
 using sim::Simulator;
 
 struct Cell {
@@ -30,7 +29,7 @@ Cell run_cell(int n, bool corrupted, int trials, std::uint64_t seed0,
     double sends = 0;
     double deliveries = 0;
   };
-  const auto outcomes = run_trials(trials, threads, [&](int t) {
+  const auto outcomes = load::parallel_shards(trials, threads, [&](int t) {
     Trial out;
     const std::uint64_t seed = seed0 + static_cast<std::uint64_t>(t);
     auto world = pif_world(n, 1, seed);
@@ -39,11 +38,7 @@ Cell run_cell(int n, bool corrupted, int trials, std::uint64_t seed0,
       sim::fuzz(*world, rng);
     }
     world->set_scheduler(std::make_unique<sim::RoundRobinScheduler>(seed));
-    core::request_pif(*world, 0, Value::integer(t));
-    const auto reason = world->run(5'000'000, [](Simulator& s) {
-      return s.process_as<PifProcess>(0).pif().done();
-    });
-    if (reason != Simulator::StopReason::Predicate) return out;
+    if (!broadcast(*world, 0, Value::integer(t), 5'000'000)) return out;
     out.completed = true;
     out.rounds = static_cast<double>(rounds_of(*world));
     out.sends = static_cast<double>(world->metrics().sends);

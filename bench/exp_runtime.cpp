@@ -20,18 +20,13 @@ using runtime::ThreadRuntime;
 double pif_wall_ms(int n, double loss, std::uint64_t seed, bool& ok) {
   ThreadRuntime rt(n, {.loss_rate = loss, .seed = seed});
   for (int i = 0; i < n; ++i)
-    rt.add_process(std::make_unique<core::PifProcess>(n - 1, 1));
-  rt.with_process<core::PifProcess>(0, [](core::PifProcess& p) {
-    p.pif().request(Value::text("wall-clock"));
-    return 0;
-  });
+    rt.add_process(std::make_unique<svc::ServiceHost>(
+        svc::HostConfig{.degree = n - 1}));
+  svc::Client client(rt);
+  const svc::Session s =
+      client.submit(0, svc::PifBroadcast{Value::text("wall-clock")});
   const auto start = std::chrono::steady_clock::now();
-  ok = rt.run(
-      [&rt] {
-        return rt.with_process<core::PifProcess>(
-            0, [](core::PifProcess& p) { return p.pif().done(); });
-      },
-      30s);
+  ok = client.await_all({s}, {.timeout = 30s}) == svc::AwaitResult::Done;
   const auto elapsed = std::chrono::steady_clock::now() - start;
   return std::chrono::duration<double, std::milli>(elapsed).count();
 }
@@ -47,28 +42,30 @@ MeResult me_on_threads(int n, std::uint64_t seed) {
   std::atomic<int> occupancy{0};
   std::atomic<int> peak{0};
   std::atomic<int> grants{0};
-  for (int i = 0; i < n; ++i) {
-    core::StackOptions opts;
-    opts.me.cs_length = 2;
-    opts.me.cs_body = [&occupancy, &peak, &grants] {
-      const int now = occupancy.fetch_add(1) + 1;
-      int expected = peak.load();
-      while (now > expected && !peak.compare_exchange_weak(expected, now)) {
-      }
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
-      occupancy.fetch_sub(1);
-      grants.fetch_add(1);
-    };
-    rt.add_process(
-        std::make_unique<core::MeStackProcess>(i + 1, n - 1, opts));
-  }
+  const auto cs_body = [&occupancy, &peak, &grants] {
+    const int now = occupancy.fetch_add(1) + 1;
+    int expected = peak.load();
+    while (now > expected && !peak.compare_exchange_weak(expected, now)) {
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+    occupancy.fetch_sub(1);
+    grants.fetch_add(1);
+  };
   for (int i = 0; i < n; ++i)
-    rt.with_process<core::MeStackProcess>(
-        i, [](core::MeStackProcess& s) { return s.me().request_cs(); });
+    rt.add_process(std::make_unique<svc::ServiceHost>(
+        svc::HostConfig{.id = i + 1,
+                        .degree = n - 1,
+                        .with_me = true,
+                        .me_options = {.cs_length = 2, .cs_body = cs_body}}));
+  svc::Client client(rt);
+  std::vector<svc::Session> sessions;
+  for (int i = 0; i < n; ++i)
+    sessions.push_back(client.submit(i, svc::CriticalSection{}));
 
   const auto start = std::chrono::steady_clock::now();
   MeResult result;
-  result.all_served = rt.run([&grants, n] { return grants.load() >= n; }, 60s);
+  result.all_served = client.await_all(sessions, {.timeout = 60s}) ==
+                      svc::AwaitResult::Done;
   const auto elapsed = std::chrono::steady_clock::now() - start;
   result.wall_ms =
       std::chrono::duration<double, std::milli>(elapsed).count();

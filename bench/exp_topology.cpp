@@ -16,7 +16,7 @@
 #include <chrono>
 
 #include "exp_common.hpp"
-#include "trial_runner.hpp"
+#include "load/shard.hpp"
 
 namespace snapstab::bench {
 namespace {
@@ -101,7 +101,6 @@ Throughput drive(Topology topo, std::uint64_t seed, std::uint64_t steps,
 int main(int argc, char** argv) {
   using namespace snapstab;
   using namespace snapstab::bench;
-  using core::PifProcess;
   CliArgs args(argc, argv, {"n", "steps", "seed", "pif-n", "threads", "json"});
   const int n = static_cast<int>(args.get_int("n", 64));
   const auto steps = static_cast<std::uint64_t>(args.get_int("steps", 300'000));
@@ -152,7 +151,7 @@ int main(int argc, char** argv) {
     double deliveries = 0;
     bool done = false;
   };
-  const auto rows = run_trials(
+  const auto rows = load::parallel_shards(
       kShapes, trial_thread_count(args, kShapes), [&](int which) {
         sim::Topology topo = make_shape(which);
         ReachRow row;
@@ -161,14 +160,10 @@ int main(int argc, char** argv) {
         row.procs = topo.process_count();
         Simulator world(std::move(topo), 1, seed);
         for (int p = 0; p < row.procs; ++p)
-          world.add_process(std::make_unique<PifProcess>(
-              world.topology().degree(p), 1));
-        core::request_pif(world, 0, Value::integer(7));
+          world.add_process(std::make_unique<svc::ServiceHost>(
+              svc::HostConfig{.degree = world.topology().degree(p)}));
         world.set_scheduler(std::make_unique<sim::RandomScheduler>(seed));
-        const auto reason = world.run(50'000'000, [](Simulator& s) {
-          return s.process_as<PifProcess>(0).pif().done();
-        });
-        row.done = reason == Simulator::StopReason::Predicate;
+        row.done = broadcast(world, 0, Value::integer(7), 50'000'000);
         row.steps = static_cast<double>(world.step_count());
         row.deliveries = static_cast<double>(world.metrics().deliveries);
         return row;

@@ -6,7 +6,6 @@
 
 #include <memory>
 
-#include "core/stack.hpp"
 #include "msg/codec.hpp"
 #include "sim/fuzz.hpp"
 #include "sim/simulator.hpp"
@@ -219,38 +218,17 @@ void BM_EngineFloorObserveEmit(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineFloorObserveEmit)->Arg(16);
 
-// --- service API overhead (the BENCH_svc_api.json pair) --------------------
-// One full PIF computation per iteration, driven two ways over the same
-// world: the raw request_pif + done() poll, and a svc session (submit ->
-// run_until -> release). Items = engine steps executed, so the ns/item
-// difference is the per-step tax of the session machinery (target: <= 2 ns
-// on the sealed engine floor).
-
-void BM_RawRequestPifCycle(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  sim::Simulator world(n, 1, 42);
-  for (int p = 0; p < n; ++p)
-    world.add_process(std::make_unique<core::PifProcess>(n - 1, 1));
-  world.set_scheduler(std::make_unique<sim::RandomScheduler>(42));
-  std::uint64_t steps = 0;
-  for (auto _ : state) {
-    const std::uint64_t before = world.step_count();
-    core::request_pif(world, 0, Value::integer(7));
-    world.run(5'000'000, [](sim::Simulator& s) {
-      return s.process_as<core::PifProcess>(0).pif().done();
-    });
-    steps += world.step_count() - before;
-    if (world.log().size() >= (1u << 20)) world.log().clear();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(steps));
-}
-BENCHMARK(BM_RawRequestPifCycle)->Arg(16);
+// --- service API overhead (BENCH_svc_api.json) ------------------------------
+// One full PIF computation per iteration through a svc session (submit ->
+// await_all -> release). Items = engine steps executed, so ns/item is the
+// per-step cost including the session machinery's tax.
 
 void BM_SessionSubmitPoll(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   sim::Simulator world(n, 1, 42);
   for (int p = 0; p < n; ++p)
-    world.add_process(std::make_unique<core::PifProcess>(n - 1, 1));
+    world.add_process(std::make_unique<svc::ServiceHost>(
+        svc::HostConfig{.degree = n - 1}));
   world.set_scheduler(std::make_unique<sim::RandomScheduler>(42));
   svc::Client client(world);
   std::uint64_t steps = 0;
@@ -258,7 +236,7 @@ void BM_SessionSubmitPoll(benchmark::State& state) {
     const std::uint64_t before = world.step_count();
     const svc::Session s =
         client.submit(0, svc::PifBroadcast{Value::integer(7)});
-    client.run_until(s);
+    client.await_all({s});
     client.release(s);
     steps += world.step_count() - before;
     if (world.log().size() >= (1u << 20)) world.log().clear();
@@ -268,7 +246,7 @@ void BM_SessionSubmitPoll(benchmark::State& state) {
 BENCHMARK(BM_SessionSubmitPoll)->Arg(16);
 
 // Session recycling steady state (the BENCH_load.json pair): the same
-// submit -> run_until -> release PIF cycle as BM_SessionSubmitPoll, but
+// submit -> await_all -> release PIF cycle as BM_SessionSubmitPoll, but
 // after Arg(0) vs Arg(~10^6) sessions have already been churned through the
 // host. The slot arena recycles released sessions through a free list, so
 // the per-step cost must be flat in the churn count — a regression here
@@ -297,7 +275,7 @@ void BM_SessionRecycleSteadyState(benchmark::State& state) {
     const std::uint64_t before = world.step_count();
     const svc::Session s =
         client.submit(0, svc::PifBroadcast{Value::integer(7)});
-    client.run_until(s);
+    client.await_all({s});
     client.release(s);
     steps += world.step_count() - before;
     if (world.log().size() >= (1u << 20)) world.log().clear();
@@ -310,16 +288,20 @@ void BM_SimulatorStep(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   sim::Simulator world(n, 1, 1);
   for (int i = 0; i < n; ++i)
-    world.add_process(std::make_unique<core::PifProcess>(n - 1, 1));
+    world.add_process(std::make_unique<svc::ServiceHost>(
+        svc::HostConfig{.degree = n - 1}));
   world.set_scheduler(std::make_unique<sim::RandomScheduler>(2));
-  core::request_pif(world, 0, Value::integer(7));
+  svc::Client client(world);
+  svc::Session s = client.submit(0, svc::PifBroadcast{Value::integer(7)});
   std::uint64_t steps = 0;
   for (auto _ : state) {
     world.run(1);
     ++steps;
     // Keep the system busy: re-request once the computation finishes.
-    if (world.process_as<core::PifProcess>(0).pif().done())
-      core::request_pif(world, 0, Value::integer(7));
+    if (client.done(s)) {
+      client.release(s);
+      s = client.submit(0, svc::PifBroadcast{Value::integer(7)});
+    }
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(steps));
 }
@@ -331,12 +313,12 @@ void BM_PifComputation(benchmark::State& state) {
   for (auto _ : state) {
     sim::Simulator world(n, 1, seed);
     for (int i = 0; i < n; ++i)
-      world.add_process(std::make_unique<core::PifProcess>(n - 1, 1));
+      world.add_process(std::make_unique<svc::ServiceHost>(
+          svc::HostConfig{.degree = n - 1}));
     world.set_scheduler(std::make_unique<sim::RandomScheduler>(seed++));
-    core::request_pif(world, 0, Value::integer(1));
-    world.run(5'000'000, [](sim::Simulator& s) {
-      return s.process_as<core::PifProcess>(0).pif().done();
-    });
+    svc::Client client(world);
+    client.await_all({client.submit(0, svc::PifBroadcast{Value::integer(1)})},
+                     {.max_steps = 5'000'000});
   }
 }
 BENCHMARK(BM_PifComputation)->Arg(2)->Arg(8)->Arg(32);
@@ -347,14 +329,16 @@ void BM_PifComputationCorrupted(benchmark::State& state) {
   for (auto _ : state) {
     sim::Simulator world(n, 1, seed);
     for (int i = 0; i < n; ++i)
-      world.add_process(std::make_unique<core::PifProcess>(n - 1, 1));
+      world.add_process(std::make_unique<svc::ServiceHost>(
+          svc::HostConfig{.degree = n - 1}));
     Rng rng(seed * 3);
     sim::fuzz(world, rng);
     world.set_scheduler(std::make_unique<sim::RandomScheduler>(seed++));
-    core::request_pif(world, 0, Value::integer(1));
-    world.run(5'000'000, [](sim::Simulator& s) {
-      return s.process_as<core::PifProcess>(0).pif().done();
-    });
+    // The session queues behind p0's ghost computation, if any, so the
+    // timed work includes draining it.
+    svc::Client client(world);
+    client.await_all({client.submit(0, svc::PifBroadcast{Value::integer(1)})},
+                     {.max_steps = 5'000'000});
   }
 }
 BENCHMARK(BM_PifComputationCorrupted)->Arg(2)->Arg(8);
@@ -363,15 +347,15 @@ void BM_MeGrant(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   sim::Simulator world(n, 1, 5);
   for (int i = 0; i < n; ++i)
-    world.add_process(std::make_unique<core::MeStackProcess>(i + 1, n - 1));
+    world.add_process(std::make_unique<svc::ServiceHost>(
+        svc::HostConfig{.id = i + 1, .degree = n - 1, .with_me = true}));
   world.set_scheduler(std::make_unique<sim::RandomScheduler>(6));
+  svc::Client client(world);
   int target = 0;
   for (auto _ : state) {
-    core::request_cs(world, target);
-    world.run(50'000'000, [target](sim::Simulator& s) {
-      return s.process_as<core::MeStackProcess>(target).me().request_state() ==
-             core::RequestState::Done;
-    });
+    const svc::Session s = client.submit(target, svc::CriticalSection{});
+    client.await_all({s}, {.max_steps = 50'000'000});
+    client.release(s);
     target = (target + 1) % n;
   }
 }
@@ -380,7 +364,8 @@ BENCHMARK(BM_MeGrant)->Arg(2)->Arg(4);
 void BM_FuzzWorld(benchmark::State& state) {
   sim::Simulator world(8, 1, 1);
   for (int i = 0; i < 8; ++i)
-    world.add_process(std::make_unique<core::MeStackProcess>(i + 1, 7));
+    world.add_process(std::make_unique<svc::ServiceHost>(
+        svc::HostConfig{.id = i + 1, .degree = 7, .with_me = true}));
   Rng rng(9);
   for (auto _ : state) sim::fuzz(world, rng);
 }

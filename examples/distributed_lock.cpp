@@ -12,10 +12,11 @@
 #include <cstdio>
 #include <memory>
 #include <thread>
+#include <vector>
 
 #include "common/cli.hpp"
-#include "core/stack.hpp"
 #include "runtime/thread_runtime.hpp"
+#include "svc/client.hpp"
 
 using namespace snapstab;
 using namespace std::chrono_literals;
@@ -37,46 +38,31 @@ int main(int argc, char** argv) {
   std::atomic<int> grants{0};
 
   runtime::ThreadRuntime rt(n, {.seed = seed});
-  for (int i = 0; i < n; ++i) {
-    core::StackOptions opts;
-    opts.me.cs_length = 2;
-    opts.me.cs_body = [&shared_counter, &grants] {
-      const long long observed = shared_counter;          // read
-      std::this_thread::sleep_for(std::chrono::microseconds(300));  // pause
-      shared_counter = observed + 1;                      // write
-      grants.fetch_add(1);
-    };
-    rt.add_process(
-        std::make_unique<core::MeStackProcess>(i + 1, n - 1, opts));
-  }
+  const auto cs_body = [&shared_counter, &grants] {
+    const long long observed = shared_counter;                    // read
+    std::this_thread::sleep_for(std::chrono::microseconds(300));  // pause
+    shared_counter = observed + 1;                                // write
+    grants.fetch_add(1);
+  };
+  for (int i = 0; i < n; ++i)
+    rt.add_process(std::make_unique<svc::ServiceHost>(
+        svc::HostConfig{.id = i + 1,
+                        .degree = n - 1,
+                        .with_me = true,
+                        .me_options = {.cs_length = 2, .cs_body = cs_body}}));
 
-  // Request driver: every process re-requests until it has completed
-  // `rounds` critical sections.
-  std::vector<int> completed(static_cast<std::size_t>(n), 0);
-  std::vector<bool> pending(static_cast<std::size_t>(n), false);
-  const bool finished = rt.run(
-      [&] {
-        bool all = true;
-        for (int p = 0; p < n; ++p) {
-          const auto pi = static_cast<std::size_t>(p);
-          if (completed[pi] >= rounds) continue;
-          all = false;
-          rt.with_process<core::MeStackProcess>(
-              p, [&completed, &pending, pi, rounds](core::MeStackProcess& s) {
-                if (s.me().request_state() != core::RequestState::Done)
-                  return 0;  // request in flight
-                if (pending[pi]) {
-                  ++completed[pi];  // the pending request just finished
-                  pending[pi] = false;
-                }
-                if (completed[pi] < rounds && s.me().request_cs())
-                  pending[pi] = true;
-                return 0;
-              });
-        }
-        return all;
-      },
-      120s);
+  // Every process requests the critical section once per round; a round
+  // ends when all of its grants were served. (Identical queued requests
+  // coalesce, so a process asks again only after its grant.)
+  svc::Client client(rt);
+  bool finished = true;
+  for (int r = 0; r < rounds && finished; ++r) {
+    std::vector<svc::Session> sessions;
+    for (int p = 0; p < n; ++p)
+      sessions.push_back(client.submit(p, svc::CriticalSection{}));
+    finished = client.await_all(sessions, {.timeout = 120s}) ==
+               svc::AwaitResult::Done;
+  }
 
   const long long expected = static_cast<long long>(grants.load());
   std::printf("grants served      : %d\n", grants.load());

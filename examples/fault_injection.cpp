@@ -13,9 +13,9 @@
 #include "common/cli.hpp"
 #include "common/table.hpp"
 #include "core/specs.hpp"
-#include "core/stack.hpp"
 #include "sim/fuzz.hpp"
 #include "sim/simulator.hpp"
+#include "svc/client.hpp"
 
 using namespace snapstab;
 
@@ -32,8 +32,10 @@ int main(int argc, char** argv) {
 
   sim::Simulator world(n, 1, seed);
   for (int i = 0; i < n; ++i)
-    world.add_process(std::make_unique<core::PifProcess>(n - 1, 1));
+    world.add_process(std::make_unique<svc::ServiceHost>(
+        svc::HostConfig{.degree = n - 1}));
   world.set_scheduler(std::make_unique<sim::RandomScheduler>(seed + 1));
+  svc::Client client(world);
   Rng chaos(seed + 2);
 
   TextTable table({"round", "stale msgs injected", "steps to decide",
@@ -48,10 +50,11 @@ int main(int argc, char** argv) {
     const Value payload = Value::integer(7'000'000 + round);
     const std::uint64_t before = world.step_count();
     const std::size_t log_before = world.log().events().size();
-    core::request_pif(world, 0, payload);
-    const auto reason = world.run(500'000, [](sim::Simulator& s) {
-      return s.process_as<core::PifProcess>(0).pif().done();
-    });
+    // The request queues behind any ghost computation the fault left.
+    const svc::Session s = client.submit(0, svc::PifBroadcast{payload});
+    const bool done =
+        client.await_all({s}, {.max_steps = 500'000}) == svc::AwaitResult::Done;
+    client.release(s);
 
     int peers_reached = 0;
     const auto& events = world.log().events();
@@ -59,8 +62,7 @@ int main(int argc, char** argv) {
       if (events[i].kind == sim::ObsKind::RecvBrd &&
           events[i].value == payload)
         ++peers_reached;
-    const bool good = reason == sim::Simulator::StopReason::Predicate &&
-                      peers_reached == n - 1;
+    const bool good = done && peers_reached == n - 1;
     all_good = all_good && good;
     table.add_row({TextTable::cell(round + 1), TextTable::cell(injected),
                    TextTable::cell(world.step_count() - before),

@@ -15,7 +15,6 @@
 #include <cstdio>
 #include <memory>
 
-#include "core/forward_world.hpp"
 #include "core/specs.hpp"
 #include "sim/fuzz.hpp"
 #include "sim/simulator.hpp"
@@ -27,8 +26,11 @@ using namespace snapstab;
 int main() {
   std::printf("Snap-stabilizing message forwarding: 2 -> 7 over a tree\n\n");
 
-  auto world = core::forward_world(sim::Topology::random_tree(8, /*seed=*/4),
-                                   /*channel capacity=*/1, /*seed=*/2026);
+  auto world = svc::service_world(
+      sim::Topology::random_tree(8, /*seed=*/4), /*channel_capacity=*/1,
+      /*seed=*/2026,
+      [](sim::ProcessId) { return svc::HostConfig{.with_pif = false}; },
+      /*with_forward=*/true);
   const sim::RoutingTable routes(world->topology());
   std::printf("route: 2");
   for (int at = 2; at != 7; at = routes.next_hop(at, 7))
@@ -56,13 +58,14 @@ int main() {
   std::printf("submission admitted: %s\n",
               core::forward_submit_name(msg.admission));
   if (!msg.accepted()) {
-    // A refused session is born Done with completed=false — run_until
-    // returning true would NOT mean delivery.
+    // A refused session is born Done with completed=false — await_all
+    // returning Done would NOT mean delivery.
     std::printf("ERROR: the service refused the submission\n");
     return 1;
   }
 
-  if (!client.run_until(msg, {.max_steps = 2'000'000})) {
+  if (client.await_all({msg}, {.max_steps = 2'000'000}) !=
+      svc::AwaitResult::Done) {
     std::printf("ERROR: the payload was not delivered\n");
     return 1;
   }
@@ -82,7 +85,7 @@ int main() {
               static_cast<unsigned long long>([&] {
                 std::uint64_t hops = 0;
                 for (int p = 0; p < 8; ++p)
-                  hops += world->process_as<core::ForwardProcess>(p)
+                  hops += world->process_as<svc::ServiceHost>(p)
                               .forward()
                               .hops_acked();
                 return hops;

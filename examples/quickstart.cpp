@@ -8,13 +8,12 @@
 //
 // The request goes through the unified service API: submit a typed
 // descriptor, get a Session mirroring the paper's Request variable
-// (Wait -> In -> Done), await it with run_until.
+// (Wait -> In -> Done), await it with await_all.
 //
 // Build & run:  ./examples/quickstart
 #include <cstdio>
 #include <memory>
 
-#include "core/stack.hpp"
 #include "sim/fuzz.hpp"
 #include "sim/simulator.hpp"
 #include "sim/timeline.hpp"
@@ -30,13 +29,16 @@ int main() {
   // Two processes; q's application-level feedback hook answers its age
   // whenever it sees the age question.
   sim::Simulator world(2, /*channel capacity=*/1, /*seed=*/2024);
-  world.add_process(std::make_unique<core::PifProcess>(1, 1));  // p
-  world.add_process(std::make_unique<core::PifProcess>(
-      1, 1, [age_of_q](sim::Context&, int, const Value& question) -> Value {
+  world.add_process(
+      std::make_unique<svc::ServiceHost>(svc::HostConfig{.degree = 1}));  // p
+  world.add_process(std::make_unique<svc::ServiceHost>(svc::HostConfig{
+      .degree = 1,
+      .app_brd = [age_of_q](sim::Context&, int,
+                            const Value& question) -> Value {
         if (question.as_text() == "How old are you?")
           return Value::integer(age_of_q);
         return Value::token(Token::Ok);
-      }));  // q
+      }}));  // q
   world.set_scheduler(std::make_unique<sim::RandomScheduler>(99));
 
   // Transient fault: scramble every variable and stuff garbage into the
@@ -52,7 +54,8 @@ int main() {
   svc::Client client(world);
   const svc::Session ask =
       client.submit(0, svc::PifBroadcast{Value::text("How old are you?")});
-  if (!client.run_until(ask, {.max_steps = 100'000})) {
+  if (client.await_all({ask}, {.max_steps = 100'000}) !=
+      svc::AwaitResult::Done) {
     std::printf("ERROR: the computation did not terminate\n");
     return 1;
   }
@@ -62,7 +65,7 @@ int main() {
   std::printf("\nsession (origin=%d, service=%s, seq=%u) is %s after "
               "%llu steps, %llu messages sent\n",
               ask.key.origin, svc::service_name(ask.key.service), ask.key.seq,
-              core::request_state_name(client.state(ask)),
+              client.done(ask) ? "Done" : "not Done",
               static_cast<unsigned long long>(world.step_count()),
               static_cast<unsigned long long>(world.metrics().sends));
   std::printf("q is %lld years old. Despite the corrupted start.\n",

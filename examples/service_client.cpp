@@ -58,7 +58,7 @@ bool client_program(Backend& backend, const char* label) {
   for (int p = 0; p < kN; ++p)
     sessions.push_back(client.submit(p, svc::Election{}));
 
-  if (!client.run_until(sessions)) {
+  if (client.await_all(sessions) != svc::AwaitResult::Done) {
     std::printf("ERROR: sessions did not complete\n");
     return false;
   }

@@ -11,8 +11,8 @@
 #include <memory>
 
 #include "common/cli.hpp"
-#include "core/stack.hpp"
 #include "sim/simulator.hpp"
+#include "svc/client.hpp"
 
 using namespace snapstab;
 
@@ -70,9 +70,10 @@ int main(int argc, char** argv) {
   std::vector<std::unique_ptr<TokenApp>> apps;
   for (int i = 0; i < n; ++i) {
     apps.push_back(std::make_unique<TokenApp>());
-    world.add_process(
-        std::make_unique<core::TermDetectProcess>(n - 1, 1,
-                                                  apps.back()->hooks()));
+    world.add_process(std::make_unique<svc::ServiceHost>(
+        svc::HostConfig{.degree = n - 1,
+                        .with_termdetect = true,
+                        .app = apps.back()->hooks()}));
   }
   Rng rng(seed + 1);
   for (int t = 0; t < tokens; ++t)
@@ -80,17 +81,15 @@ int main(int argc, char** argv) {
         3 + static_cast<int>(rng.below(10)));
   world.set_scheduler(std::make_unique<sim::RandomScheduler>(seed + 2));
 
-  core::request_termdetect(world, 0);
-  const auto reason = world.run(8'000'000, [](sim::Simulator& s) {
-    return s.process_as<core::TermDetectProcess>(0).detector().done();
-  });
-  if (reason != sim::Simulator::StopReason::Predicate) {
+  svc::Client client(world);
+  if (client.await_all({client.submit(0, svc::TermDetect{})},
+                       {.max_steps = 8'000'000}) != svc::AwaitResult::Done) {
     std::printf("ERROR: detection did not finish\n");
     return 1;
   }
 
   const auto& detector =
-      world.process_as<core::TermDetectProcess>(0).detector();
+      world.process_as<svc::ServiceHost>(0).detector();
   std::printf("detector claimed termination after %d probe waves and %llu "
               "steps\n\n",
               detector.waves_used(),

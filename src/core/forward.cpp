@@ -248,54 +248,4 @@ std::uint64_t forward_ghost_budget(sim::Simulator& sim) {
   return budget;
 }
 
-namespace {
-
-svc::HostConfig forward_only_config(
-    sim::ProcessId self, int degree,
-    std::shared_ptr<const sim::RoutingTable> routes,
-    Forward::Options options) {
-  svc::HostConfig cfg;
-  cfg.with_pif = false;
-  cfg.self = self;
-  cfg.degree = degree;
-  cfg.channel_capacity = options.channel_capacity;
-  cfg.routes = std::move(routes);
-  cfg.forward_options = options;
-  return cfg;
-}
-
-}  // namespace
-
-ForwardProcess::ForwardProcess(sim::ProcessId self, int degree,
-                               std::shared_ptr<const sim::RoutingTable> routes,
-                               Forward::Options options)
-    : ServiceHost(forward_only_config(self, degree, std::move(routes),
-                                      options)) {}
-
-std::unique_ptr<sim::Simulator> forward_world(sim::Topology topology,
-                                              std::size_t channel_capacity,
-                                              std::uint64_t seed,
-                                              Forward::Options options) {
-  auto sim = std::make_unique<sim::Simulator>(std::move(topology),
-                                              channel_capacity, seed);
-  auto routes = std::make_shared<const sim::RoutingTable>(sim->topology());
-  options.channel_capacity = static_cast<int>(channel_capacity);
-  for (int p = 0; p < sim->process_count(); ++p)
-    sim->add_process(std::make_unique<ForwardProcess>(
-        p, sim->topology().degree(p), routes, options));
-  return sim;
-}
-
-bool request_forward(sim::Simulator& sim, sim::ProcessId origin,
-                     sim::ProcessId dst, const Value& payload) {
-  auto& proc = sim.process_as<svc::ServiceHost>(origin);
-  // The historic bool contract: any refusal reason collapses to false.
-  if (proc.forward().submit(payload, dst) != ForwardSubmit::Accepted)
-    return false;
-  sim.log().emit(sim::Observation{sim.step_count(), origin,
-                                  sim::Layer::Service, sim::ObsKind::FwdSubmit,
-                                  dst, payload});
-  return true;
-}
-
 }  // namespace snapstab::core

@@ -5,8 +5,9 @@
 
 #include "common/check.hpp"
 #include "core/specs.hpp"
-#include "core/stack.hpp"
 #include "sim/simulator.hpp"
+#include "svc/client.hpp"
+#include "svc/host.hpp"
 
 namespace snapstab::impossibility {
 
@@ -25,25 +26,27 @@ std::string fmt(const char* pattern, auto... args) {
   return buf;
 }
 
-core::StackOptions stack_options() {
-  core::StackOptions opts;
-  opts.channel_capacity = 1;
-  opts.me.cs_length = kCsLength;
-  return opts;
-}
-
-std::unique_ptr<Simulator> fresh_world(std::size_t capacity,
-                                       std::uint64_t seed) {
+// The two-process ME world; hosts believe channel capacity `believed`
+// whatever the simulator's real bound.
+std::unique_ptr<Simulator> me_world(std::size_t capacity, int believed,
+                                    int cs_length, std::uint64_t seed) {
   auto sim = std::make_unique<Simulator>(2, capacity, seed);
-  sim->add_process(
-      std::make_unique<core::MeStackProcess>(kIdP, 1, stack_options()));
-  sim->add_process(
-      std::make_unique<core::MeStackProcess>(kIdQ, 1, stack_options()));
+  for (const std::int64_t id : {kIdP, kIdQ})
+    sim->add_process(std::make_unique<svc::ServiceHost>(svc::HostConfig{
+        .id = id,
+        .degree = 1,
+        .channel_capacity = believed,
+        .with_me = true,
+        .me_options = {.cs_length = cs_length}}));
   return sim;
 }
 
+void submit_cs(Simulator& sim, sim::ProcessId p) {
+  svc::Client(sim).submit(p, svc::CriticalSection{});
+}
+
 bool in_cs(Simulator& sim, sim::ProcessId p) {
-  return sim.process_as<core::MeStackProcess>(p).me().in_cs();
+  return sim.process_as<svc::ServiceHost>(p).me().in_cs();
 }
 
 // Step 1/2 of the construction: a fresh system in which `initiator`
@@ -52,10 +55,10 @@ bool in_cs(Simulator& sim, sim::ProcessId p) {
 std::unique_ptr<Simulator> record_initiator_run(sim::ProcessId initiator,
                                                 std::uint64_t seed,
                                                 ConstructionReport& report) {
-  auto sim = fresh_world(/*capacity=*/1, seed);
+  auto sim = me_world(/*capacity=*/1, /*believed=*/1, kCsLength, seed);
   sim->enable_recording();
   sim->set_scheduler(std::make_unique<sim::RoundRobinScheduler>(seed));
-  core::request_cs(*sim, initiator);
+  submit_cs(*sim, initiator);
   const auto reason = sim->run(kRecordBudget, [&](Simulator& s) {
     return in_cs(s, initiator);
   });
@@ -99,9 +102,10 @@ ConstructionReport run_unbounded_construction(std::uint64_t seed) {
   auto run_q = record_initiator_run(1, seed + 1, report);
 
   // Step 3 — the stuffed initial configuration γ0 on unbounded channels.
-  auto world = fresh_world(sim::Channel::kUnbounded, seed + 2);
-  core::request_cs(*world, 0);
-  core::request_cs(*world, 1);
+  auto world = me_world(sim::Channel::kUnbounded, /*believed=*/1, kCsLength,
+                        seed + 2);
+  submit_cs(*world, 0);
+  submit_cs(*world, 1);
   for (const auto& m : run_p->delivered(1, 0)) {
     if (world->network().channel(1, 0).push(m))
       ++report.preloaded_to_p;
@@ -153,14 +157,10 @@ ConstructionReport run_bounded_counterfactual(std::size_t capacity,
   // all of it is refused — the configuration required by Theorem 1 is not
   // installable. The critical section is short here so the counterfactual
   // run completes.
-  auto bounded = std::make_unique<Simulator>(2, capacity, seed + 2);
-  core::StackOptions opts;
-  opts.channel_capacity = static_cast<int>(capacity);
-  opts.me.cs_length = 3;
-  bounded->add_process(std::make_unique<core::MeStackProcess>(kIdP, 1, opts));
-  bounded->add_process(std::make_unique<core::MeStackProcess>(kIdQ, 1, opts));
-  core::request_cs(*bounded, 0);
-  core::request_cs(*bounded, 1);
+  auto bounded = me_world(capacity, static_cast<int>(capacity),
+                          /*cs_length=*/3, seed + 2);
+  submit_cs(*bounded, 0);
+  submit_cs(*bounded, 1);
   for (const auto& m : run_p->delivered(1, 0)) {
     if (bounded->network().channel(1, 0).push(m))
       ++report.preloaded_to_p;
@@ -184,9 +184,9 @@ ConstructionReport run_bounded_counterfactual(std::size_t capacity,
       std::make_unique<sim::RandomScheduler>(seed + 3));
   bounded->run(400'000, [&](Simulator& s) {
     // Stop once both requests were served (both back to Done).
-    return s.process_as<core::MeStackProcess>(0).me().request_state() ==
+    return s.process_as<svc::ServiceHost>(0).me().request_state() ==
                core::RequestState::Done &&
-           s.process_as<core::MeStackProcess>(1).me().request_state() ==
+           s.process_as<svc::ServiceHost>(1).me().request_state() ==
                core::RequestState::Done;
   });
   const auto spec = core::check_me_spec(*bounded, {.require_liveness = true});

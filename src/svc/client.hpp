@@ -5,17 +5,17 @@
 // genuinely concurrent, over in-process mailboxes (runtime::ThreadRuntime)
 // or UDP sockets (net::SocketRuntime). The *same* client program runs
 // against any of them — submit typed descriptors, batch-await with
-// run_until, read results — which is what lets examples and benches be
+// await_all, read results — which is what lets examples and benches be
 // written once (see examples/service_client.cpp).
 //
 //   svc::Client client(sim);                      // or Client(rt)
 //   auto s1 = client.submit(0, svc::PifBroadcast{Value::text("hello")});
 //   auto s2 = client.submit(3, svc::ForwardMsg{.dst = 7, .payload = v});
-//   client.run_until({s1, s2});                   // batch-await Done
+//   client.await_all({s1, s2});                   // batch-await Done
 //   client.result(s2).value;                      // the delivery ack
 //
 // Backend notes:
-//   * Simulator: run_until drives the PR-4 sealed step loop (sim.run with a
+//   * Simulator: await_all drives the PR-4 sealed step loop (sim.run with a
 //     session-completion stop predicate; StopPolicy{check_every} amortizes
 //     the check for bulk runs). Everything is deterministic and adds no RNG
 //     draws — a session-driven world replays bit-identically.
@@ -29,7 +29,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <initializer_list>
 #include <vector>
 
 #include "live/runtime.hpp"
@@ -65,8 +64,8 @@ struct AwaitOptions {
 // could still finish the batch (steps remain enabled / threads still
 // running); `RuntimeDown` means no budget can — the Simulator went
 // quiescent with sessions incomplete, or the live runtime was shut down.
-// The distinction matters on the live path, where the historic bool
-// conflated "try a bigger timeout" with "this runtime will never answer".
+// The distinction matters on the live path, where a bool would conflate
+// "try a bigger timeout" with "this runtime will never answer".
 enum class AwaitResult : std::uint8_t { Done, BudgetExhausted, RuntimeDown };
 
 inline constexpr int kAwaitResultCount = 3;
@@ -113,19 +112,6 @@ class Client {
   // live::Runtime: wall-clock bounded; RuntimeDown only after shutdown().
   AwaitResult await_all(const std::vector<Session>& sessions,
                         AwaitOptions opts = {});
-
-  // Historic bool shim over await_all: true iff every session is Done.
-  bool run_until(const std::vector<Session>& sessions,
-                 AwaitOptions opts = {}) {
-    return await_all(sessions, opts) == AwaitResult::Done;
-  }
-  bool run_until(std::initializer_list<Session> sessions,
-                 AwaitOptions opts = {}) {
-    return run_until(std::vector<Session>(sessions), opts);
-  }
-  bool run_until(const Session& s, AwaitOptions opts = {}) {
-    return run_until(std::vector<Session>{s}, opts);
-  }
 
   sim::Simulator* simulator() noexcept { return sim_; }
   live::Runtime* runtime() noexcept { return rt_; }

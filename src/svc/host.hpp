@@ -7,23 +7,22 @@
 // queued deterministically when the stack is busy, completed with a
 // uniform SessionResult.
 //
-// The host replaces the seven bespoke `*Process` wrappers that used to
-// live in core/stack.hpp — those classes survive as thin configured
-// subclasses (see stack.hpp) so existing worlds, tests and the pinned
-// golden traces are untouched.
+// A HostConfig names the stack: PIF alone, IDL over PIF, ME over both,
+// any of the PIF-based services, and/or the forwarding service. Every
+// world — tests, benches, examples — is built from plain ServiceHosts.
 //
-// Dispatch rule (unchanged from the historic wrappers, mirroring the
-// paper's actions): a received broadcast payload selects the receive-brd
-// handler of the layer it names (IDL query -> Idl::on_brd, ASK/EXIT/EXITCS
-// -> the ME handlers, RESET/SNAPQUERY/PROBE -> the PIF-based services,
-// anything else falls to the application hook or a polite OK); a feedback
-// is routed by the process's *own* current B-Mes.
+// Dispatch rule (mirroring the paper's actions): a received broadcast
+// payload selects the receive-brd handler of the layer it names (IDL query
+// -> Idl::on_brd, ASK/EXIT/EXITCS -> the ME handlers,
+// RESET/SNAPQUERY/PROBE -> the PIF-based services, anything else falls to
+// the application hook or a polite OK); a feedback is routed by the
+// process's *own* current B-Mes.
 //
 // Determinism contract: the session machinery performs NO RNG draws and
-// emits observations only where the historic request_* helpers did
-// (RequestWait at session start, with identical layer/peer/value), so a
-// world driven through sessions and one driven through the old helpers
-// produce bit-identical executions.
+// emits exactly one observation per session start (RequestWait, or
+// FwdSubmit for an accepted ForwardMsg) with a fixed layer/peer/value per
+// service, so a session-driven world replays bit-identically. The golden
+// traces me_n3_rand_seed5 and fwd_ring_n5_seed17 (tests/golden/) pin it.
 #ifndef SNAPSTAB_SVC_HOST_HPP
 #define SNAPSTAB_SVC_HOST_HPP
 
@@ -63,16 +62,16 @@ struct HostConfig {
   bool with_termdetect = false;
   bool with_election = false;  // implies with_idl
 
-  core::MeOptions me_options;
-  // Application feedback hook for broadcasts no service layer claims
-  // (the historic PifProcess behavior); defaults to acknowledging with OK.
-  std::function<Value(sim::Context&, int, const Value&)> app_brd;
-  std::function<void(sim::Context&)> on_reset;   // reset hook
-  std::function<Value()> local_state;            // snapshot state supplier
-  core::DiffusingApp app;                        // termdetect's application
+  core::MeOptions me_options{};
+  // Application feedback hook for broadcasts no service layer claims;
+  // defaults to acknowledging with OK.
+  std::function<Value(sim::Context&, int, const Value&)> app_brd{};
+  std::function<void(sim::Context&)> on_reset{};  // reset hook
+  std::function<Value()> local_state{};           // snapshot state supplier
+  core::DiffusingApp app{};                       // termdetect's application
   // Non-null enables the ForwardMsg service (self must be set, see ctor).
-  std::shared_ptr<const sim::RoutingTable> routes;
-  core::ForwardOptions forward_options;
+  std::shared_ptr<const sim::RoutingTable> routes{};
+  core::ForwardOptions forward_options{};
   sim::ProcessId self = -1;    // global id; required for ForwardMsg
 
   // Reverses the IDL/PIF tick order (ablation experiment only).
@@ -122,10 +121,9 @@ class ServiceHost : public sim::Process {
   void release_session(std::uint32_t seq);
 
   // ForwardMsg completion is end-to-end and therefore cross-host: the
-  // destination host records each delivery (once recording is enabled) and
-  // the client matches it back to the origin's session, removing the
-  // matched record so one delivery completes at most one session (and the
-  // record store stays bounded).
+  // destination host records each delivery and the client matches it back
+  // to the origin's session, removing the matched record so one delivery
+  // completes at most one session (and the record store stays bounded).
   struct Delivery {
     sim::ProcessId origin = -1;
     std::uint32_t wire_seq = 0;
@@ -140,10 +138,6 @@ class ServiceHost : public sim::Process {
   // instead of O(live forward sessions x deliveries) per poll.
   void take_deliveries(std::vector<Delivery>& out);
   void finish_forward(std::uint32_t seq);  // origin side: mark Done, fire cb
-  // Flipped by the Client, world-wide, at the first ForwardMsg submission;
-  // until then the delivery hook records nothing, so worlds driven through
-  // the legacy request_forward shim allocate nothing per delivery.
-  void enable_delivery_recording() noexcept { record_deliveries_ = true; }
 
   int session_count() const noexcept { return static_cast<int>(by_seq_.size()); }
   int pending_count() const noexcept { return pending_n_; }
@@ -166,7 +160,7 @@ class ServiceHost : public sim::Process {
   // (svc::Supervisor, load::Workload) owns the retry.
   void crash_restart(Rng& rng);
 
-  // --- layer accessors (the historic wrapper surface) --------------------
+  // --- layer accessors ---------------------------------------------------
   core::Pif& pif() { return checked(pif_); }
   const core::Pif& pif() const { return checked(pif_); }
   core::Idl& idl() { return checked(idl_); }
@@ -222,8 +216,7 @@ class ServiceHost : public sim::Process {
   std::uint32_t alloc_slot(SessionRec&& rec);
   core::RequestState layer_state(ServiceId s) const;
   bool service_available(ServiceId s) const;
-  // Sets the layer's Request := Wait and emits the RequestWait observation
-  // (identical layer/peer/value to the historic request_* helpers).
+  // Sets the layer's Request := Wait and emits the RequestWait observation.
   template <typename EmitFn>
   void start(SessionRec& rec, const EmitFn& emit);
   void complete(SessionRec& rec);
@@ -271,14 +264,13 @@ class ServiceHost : public sim::Process {
   std::deque<std::uint32_t> pending_;     // queued PIF-based sessions, FIFO
   std::int64_t stack_active_ = -1;        // seq of the In PIF-based session
   int pending_n_ = 0;
-  bool record_deliveries_ = false;
   std::vector<Delivery> deliveries_;      // ForwardMsg: what arrived here
   Degrade degrade_;
 };
 
 // Builds a world of ServiceHosts over `topology`, one per node, each
 // configured by `config_of(p)` (routes are filled in automatically when
-// `with_forward` is set). The svc analogue of core::forward_world.
+// `with_forward` is set).
 std::unique_ptr<sim::Simulator> service_world(
     sim::Topology topology, std::size_t channel_capacity, std::uint64_t seed,
     const std::function<HostConfig(sim::ProcessId)>& config_of,

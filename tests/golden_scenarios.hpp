@@ -12,8 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "core/forward_world.hpp"
-#include "core/stack.hpp"
 #include "fault/injector.hpp"
 #include "fault/plan.hpp"
 #include "sim/fuzz.hpp"
@@ -28,13 +26,24 @@ inline std::unique_ptr<sim::Simulator> pif_world(int n, int capacity,
   auto sim = std::make_unique<sim::Simulator>(
       n, static_cast<std::size_t>(capacity), seed);
   for (int i = 0; i < n; ++i)
-    sim->add_process(std::make_unique<core::PifProcess>(n - 1, capacity));
+    sim->add_process(std::make_unique<svc::ServiceHost>(
+        svc::HostConfig{.degree = n - 1, .channel_capacity = capacity}));
   return sim;
+}
+
+// A forwarding-only world (no PIF stack) over `topology`.
+inline std::unique_ptr<sim::Simulator> fwd_world(
+    sim::Topology topology, std::uint64_t seed, std::size_t capacity = 1,
+    core::ForwardOptions options = {}) {
+  return svc::service_world(
+      std::move(topology), capacity, seed,
+      [](sim::ProcessId) { return svc::HostConfig{.with_pif = false}; },
+      /*with_forward=*/true, options);
 }
 
 inline bool all_pif_done(sim::Simulator& s) {
   for (int p = 0; p < s.process_count(); ++p)
-    if (!s.process_as<core::PifProcess>(p).pif().done()) return false;
+    if (!s.process_as<svc::ServiceHost>(p).pif().done()) return false;
   return true;
 }
 
@@ -72,7 +81,7 @@ struct Scenario {
 inline std::unique_ptr<sim::Simulator> run_pif_rand() {
   auto sim = pif_world(4, 1, /*seed=*/7);
   for (int p = 0; p < 4; ++p)
-    sim->process_as<core::PifProcess>(p).pif().request(Value::integer(100 + p));
+    sim->process_as<svc::ServiceHost>(p).pif().request(Value::integer(100 + p));
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(7));
   sim->run(200'000, all_pif_done);
   return sim;
@@ -83,7 +92,7 @@ inline std::unique_ptr<sim::Simulator> run_pif_rand() {
 inline std::unique_ptr<sim::Simulator> run_pif_loss() {
   auto sim = pif_world(6, 2, /*seed=*/11);
   for (int p = 0; p < 6; p += 2)
-    sim->process_as<core::PifProcess>(p).pif().request(Value::integer(p));
+    sim->process_as<svc::ServiceHost>(p).pif().request(Value::integer(p));
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(
       11, sim::LossOptions{.rate = 0.3, .max_consecutive = 5}));
   sim->run(20'000);
@@ -94,7 +103,7 @@ inline std::unique_ptr<sim::Simulator> run_pif_loss() {
 inline std::unique_ptr<sim::Simulator> run_pif_rr() {
   auto sim = pif_world(5, 1, /*seed=*/3);
   for (int p = 0; p < 5; ++p)
-    sim->process_as<core::PifProcess>(p).pif().request(Value::integer(50 + p));
+    sim->process_as<svc::ServiceHost>(p).pif().request(Value::integer(50 + p));
   sim->set_scheduler(std::make_unique<sim::RoundRobinScheduler>(3));
   sim->run(200'000, all_pif_done);
   return sim;
@@ -106,7 +115,7 @@ inline std::unique_ptr<sim::Simulator> run_pif_fuzz() {
   auto sim = pif_world(4, 1, /*seed=*/13);
   Rng fuzz_rng(13);
   sim::fuzz(*sim, fuzz_rng);
-  sim->process_as<core::PifProcess>(0).pif().request(Value::integer(999));
+  sim->process_as<svc::ServiceHost>(0).pif().request(Value::integer(999));
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(13));
   sim->run(200'000, all_pif_done);
   return sim;
@@ -116,12 +125,12 @@ inline std::unique_ptr<sim::Simulator> run_pif_fuzz() {
 // delivery filter and multi-layer observation interleavings.
 inline std::unique_ptr<sim::Simulator> run_me_stack() {
   auto sim = std::make_unique<sim::Simulator>(3, 1, /*seed=*/5);
-  core::StackOptions options;
-  options.me.cs_length = 4;
   for (int p = 0; p < 3; ++p)
-    sim->add_process(
-        std::make_unique<core::MeStackProcess>(p + 1, 2, options));
-  for (int p = 0; p < 3; ++p) core::request_cs(*sim, p);
+    sim->add_process(std::make_unique<svc::ServiceHost>(svc::HostConfig{
+        .id = p + 1, .degree = 2, .with_me = true,
+        .me_options = {.cs_length = 4}}));
+  svc::Client client(*sim);
+  for (int p = 0; p < 3; ++p) client.submit(p, svc::CriticalSection{});
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(5));
   sim->run(30'000);
   return sim;
@@ -131,19 +140,17 @@ inline std::unique_ptr<sim::Simulator> run_me_stack() {
 // three cross-ring routes (all multi-hop), runs until every submission is
 // delivered — locks the hop-handshake traffic and the Service-layer events.
 inline std::unique_ptr<sim::Simulator> run_fwd_ring() {
-  auto sim = core::forward_world(sim::Topology::ring(5), 1, /*seed=*/17);
+  auto sim = fwd_world(sim::Topology::ring(5), /*seed=*/17);
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(
       17, sim::LossOptions{.rate = 0.1, .max_consecutive = 4}));
-  core::request_forward(*sim, 0, 2, Value::integer(42));
-  core::request_forward(*sim, 3, 1, Value::integer(43));
-  core::request_forward(*sim, 4, 2, Value::integer(44));
-  sim->run(500'000, [](sim::Simulator& s) {
-    std::uint64_t delivered = 0;
-    for (int p = 0; p < s.process_count(); ++p)
-      delivered +=
-          s.process_as<core::ForwardProcess>(p).forward().delivered_count();
-    return delivered >= 3;
-  });
+  svc::Client client(*sim);
+  const auto send = [&client](sim::ProcessId origin, sim::ProcessId dst,
+                              std::int64_t v) {
+    return client.submit(
+        origin, svc::ForwardMsg{.dst = dst, .payload = Value::integer(v)});
+  };
+  client.await_all({send(0, 2, 42), send(3, 1, 43), send(4, 2, 44)},
+                   {.max_steps = 500'000});
   return sim;
 }
 

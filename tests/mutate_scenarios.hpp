@@ -29,7 +29,6 @@
 
 #include "core/forward_world.hpp"
 #include "core/specs.hpp"
-#include "core/stack.hpp"
 #include "fault/injector.hpp"
 #include "fault/plan.hpp"
 #include "golden_scenarios.hpp"
@@ -266,7 +265,7 @@ inline Outcome run_spec_pif_rand() {
   Check ck(out);
   auto sim = golden::pif_world(4, 1, 7);
   for (int p = 0; p < 4; ++p)
-    sim->process_as<core::PifProcess>(p).pif().request(
+    sim->process_as<svc::ServiceHost>(p).pif().request(
         Value::integer(100 + p));
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(7));
   sim->run(200'000, golden::all_pif_done);
@@ -283,7 +282,7 @@ inline Outcome run_spec_pif_loss() {
   Check ck(out);
   auto sim = golden::pif_world(6, 2, 11);
   for (int p = 0; p < 6; p += 2)
-    sim->process_as<core::PifProcess>(p).pif().request(Value::integer(p));
+    sim->process_as<svc::ServiceHost>(p).pif().request(Value::integer(p));
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(
       11, sim::LossOptions{.rate = 0.3, .max_consecutive = 5}));
   sim->run(400'000, golden::all_pif_done);
@@ -305,19 +304,23 @@ inline Outcome run_spec_idl_exact() {
   const std::vector<std::int64_t> ids = {42, 7, 99, 13};
   sim::Simulator sim(4, 1, 23);
   for (int p = 0; p < 4; ++p)
-    sim.add_process(std::make_unique<core::IdlProcess>(
-        ids[static_cast<std::size_t>(p)], 3, 1));
+    sim.add_process(std::make_unique<svc::ServiceHost>(svc::HostConfig{
+        .id = ids[static_cast<std::size_t>(p)],
+        .degree = 3,
+        .with_idl = true}));
   Rng fuzz_rng(23);
   sim::fuzz(sim, fuzz_rng);
   sim.set_scheduler(std::make_unique<sim::RandomScheduler>(23));
-  for (int p = 0; p < 4; ++p) core::request_idl(sim, p);
-  sim.run(500'000, [](sim::Simulator& s) {
-    for (int p = 0; p < s.process_count(); ++p)
-      if (!s.process_as<core::IdlProcess>(p).idl().done()) return false;
-    return true;
-  });
+  // Each session queues behind its process's ghost computation, then runs
+  // a fresh one from the corrupted state.
+  svc::Client client(sim);
+  std::vector<svc::Session> sessions;
+  for (int p = 0; p < 4; ++p) sessions.push_back(client.submit(p, svc::Idl{}));
+  ck.require(client.await_all(sessions, {.max_steps = 500'000}) ==
+                 svc::AwaitResult::Done,
+             "idl.exact: every session completes");
   for (int p = 0; p < 4; ++p) {
-    const auto& idl = sim.process_as<core::IdlProcess>(p).idl();
+    const auto& idl = sim.process_as<svc::ServiceHost>(p).idl();
     ck.require(idl.done(), "idl.exact: computation " + std::to_string(p) +
                                " terminates");
     ck.equals(idl.min_id(), 7, "idl.exact: exact minimum at p" +
@@ -332,7 +335,7 @@ inline Outcome run_spec_idl_exact() {
   ck.spec(core::check_idl_spec(
               sim,
               [&sim](sim::ProcessId p) -> const core::Idl& {
-                return sim.process_as<core::IdlProcess>(p).idl();
+                return sim.process_as<svc::ServiceHost>(p).idl();
               },
               ids),
           "idl.exact: spec");
@@ -345,11 +348,12 @@ inline Outcome run_spec_me_cycle() {
   Outcome out;
   Check ck(out);
   sim::Simulator sim(3, 1, 29);
-  core::StackOptions options;
-  options.me.cs_length = 3;
   for (int p = 0; p < 3; ++p)
-    sim.add_process(std::make_unique<core::MeStackProcess>(p + 1, 2, options));
-  for (int p = 0; p < 3; ++p) core::request_cs(sim, p);
+    sim.add_process(std::make_unique<svc::ServiceHost>(svc::HostConfig{
+        .id = p + 1, .degree = 2, .with_me = true,
+        .me_options = {.cs_length = 3}}));
+  svc::Client client(sim);
+  for (int p = 0; p < 3; ++p) client.submit(p, svc::CriticalSection{});
   sim.set_scheduler(std::make_unique<sim::RandomScheduler>(29));
   sim.run(60'000);
   ck.spec(core::check_me_spec(sim, {.require_liveness = true}),
@@ -369,8 +373,9 @@ inline Outcome run_spec_me_ghost_privilege() {
   sim::Simulator sim(3, 1, 31);
   for (int p = 0; p < 3; ++p)
     sim.add_process(
-        std::make_unique<core::MeStackProcess>(p + 5, 2, core::StackOptions{}));
-  auto& host = sim.process_as<core::MeStackProcess>(2);  // own_id 7
+        std::make_unique<svc::ServiceHost>(svc::HostConfig{
+            .id = p + 5, .degree = 2, .with_me = true}));
+  auto& host = sim.process_as<svc::ServiceHost>(2);  // own_id 7
   auto& idl_st = host.idl().mutable_state();
   idl_st.request = core::RequestState::Done;
   idl_st.min_id = 5;
@@ -391,10 +396,12 @@ inline Outcome run_spec_svc_reset() {
   std::array<int, 4> resets{};
   sim::Simulator sim(4, 1, 33);
   for (int p = 0; p < 4; ++p)
-    sim.add_process(std::make_unique<core::ResetProcess>(
-        3, 1, [&resets, p](sim::Context&) {
+    sim.add_process(std::make_unique<svc::ServiceHost>(svc::HostConfig{
+        .degree = 3,
+        .with_reset = true,
+        .on_reset = [&resets, p](sim::Context&) {
           ++resets[static_cast<std::size_t>(p)];
-        }));
+        }}));
   sim.set_scheduler(std::make_unique<sim::RandomScheduler>(33));
   svc::Client client(sim);
   const auto session = client.submit(0, svc::Reset{});
@@ -420,8 +427,10 @@ inline Outcome run_spec_svc_snapshot() {
   Check ck(out);
   sim::Simulator sim(3, 1, 37);
   for (int p = 0; p < 3; ++p)
-    sim.add_process(std::make_unique<core::SnapshotProcess>(
-        2, 1, [p] { return Value::integer(1000 + p); }));
+    sim.add_process(std::make_unique<svc::ServiceHost>(svc::HostConfig{
+        .degree = 2,
+        .with_snapshot = true,
+        .local_state = [p] { return Value::integer(1000 + p); }}));
   sim.set_scheduler(std::make_unique<sim::RandomScheduler>(37));
   svc::Client client(sim);
   const auto session = client.submit(0, svc::Snapshot{});
@@ -445,8 +454,10 @@ inline Outcome run_spec_svc_election() {
   const std::vector<std::int64_t> sorted = {7, 13, 42, 99};
   sim::Simulator sim(4, 1, 41);
   for (int p = 0; p < 4; ++p)
-    sim.add_process(std::make_unique<core::ElectionProcess>(
-        ids[static_cast<std::size_t>(p)], 3, 1));
+    sim.add_process(std::make_unique<svc::ServiceHost>(svc::HostConfig{
+        .id = ids[static_cast<std::size_t>(p)],
+        .degree = 3,
+        .with_election = true}));
   sim.set_scheduler(std::make_unique<sim::RandomScheduler>(41));
   svc::Client client(sim);
   std::vector<svc::Session> sessions;
@@ -487,7 +498,8 @@ inline std::unique_ptr<sim::Simulator> td_world(
   for (int p = 0; p < 3; ++p) {
     core::DiffusingApp app;
     app.counters = [counters, p] { return counters(p); };
-    sim->add_process(std::make_unique<core::TermDetectProcess>(2, 1, app));
+    sim->add_process(std::make_unique<svc::ServiceHost>(
+        svc::HostConfig{.degree = 2, .with_termdetect = true, .app = app}));
   }
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(seed));
   return sim;
@@ -594,28 +606,29 @@ inline Outcome run_spec_td_active_idle() {
 inline Outcome run_spec_fwd_ring() {
   Outcome out;
   Check ck(out);
-  auto sim = core::forward_world(sim::Topology::ring(5), 1, 57);
+  auto sim = golden::fwd_world(sim::Topology::ring(5), 57);
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(
       57, sim::LossOptions{.rate = 0.1, .max_consecutive = 4}));
+  svc::Client client(*sim);
   // Payloads >= 10^6 are outside Value::random's range, so no fuzzed ghost
   // can impersonate them (see check_forward_spec's header comment).
-  ck.require(core::request_forward(*sim, 0, 2, Value::integer(1'000'042)),
-             "fwd.ring: submit 0->2 accepted");
-  ck.require(core::request_forward(*sim, 3, 1, Value::integer(1'000'043)),
-             "fwd.ring: submit 3->1 accepted");
-  ck.require(core::request_forward(*sim, 4, 2, Value::integer(1'000'044)),
-             "fwd.ring: submit 4->2 accepted");
-  sim->run(500'000, [](sim::Simulator& s) {
-    std::uint64_t delivered = 0;
-    for (int p = 0; p < s.process_count(); ++p)
-      delivered +=
-          s.process_as<core::ForwardProcess>(p).forward().delivered_count();
-    return delivered >= 3;
-  });
+  const auto send = [&](sim::ProcessId origin, sim::ProcessId dst,
+                        std::int64_t v) {
+    const svc::Session s = client.submit(
+        origin, svc::ForwardMsg{.dst = dst, .payload = Value::integer(v)});
+    ck.require(s.accepted(), "fwd.ring: submit " + std::to_string(origin) +
+                                 "->" + std::to_string(dst) + " accepted");
+    return s;
+  };
+  ck.require(client.await_all({send(0, 2, 1'000'042), send(3, 1, 1'000'043),
+                               send(4, 2, 1'000'044)},
+                              {.max_steps = 500'000}) ==
+                 svc::AwaitResult::Done,
+             "fwd.ring: every session completes");
   std::uint64_t delivered = 0;
   for (int p = 0; p < 5; ++p)
     delivered +=
-        sim->process_as<core::ForwardProcess>(p).forward().delivered_count();
+        sim->process_as<svc::ServiceHost>(p).forward().delivered_count();
   ck.equals(static_cast<std::int64_t>(delivered), 3,
             "fwd.ring: three deliveries counted");
   ck.spec(core::check_forward_spec(*sim), "fwd.ring: exactly-once delivery");
@@ -889,7 +902,7 @@ inline Outcome run_fuzz_pif(std::uint64_t seed, bool wild) {
   fo.wild_flags = wild;
   sim::fuzz(*sim, fuzz_rng, fo);
   for (int p = 0; p < 4; ++p)
-    sim->process_as<core::PifProcess>(p).pif().request(
+    sim->process_as<svc::ServiceHost>(p).pif().request(
         Value::integer(500 + p));
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(seed));
   sim->run(500'000, golden::all_pif_done);
@@ -911,13 +924,14 @@ inline Outcome run_fuzz_me(std::uint64_t seed) {
   Outcome out;
   Check ck(out);
   sim::Simulator sim(3, 1, seed);
-  core::StackOptions options;
-  options.me.cs_length = 2;
   for (int p = 0; p < 3; ++p)
-    sim.add_process(std::make_unique<core::MeStackProcess>(p + 1, 2, options));
+    sim.add_process(std::make_unique<svc::ServiceHost>(svc::HostConfig{
+        .id = p + 1, .degree = 2, .with_me = true,
+        .me_options = {.cs_length = 2}}));
   Rng fuzz_rng(seed ^ 0xA5Eu);
   sim::fuzz(sim, fuzz_rng);
-  for (int p = 0; p < 3; ++p) core::request_cs(sim, p);
+  svc::Client client(sim);
+  for (int p = 0; p < 3; ++p) client.submit(p, svc::CriticalSection{});
   sim.set_scheduler(std::make_unique<sim::RandomScheduler>(seed));
   sim.run(120'000);
   ck.spec(core::check_me_spec(sim, {.require_liveness = true}),
@@ -933,20 +947,26 @@ inline Outcome run_fuzz_me_42() { return run_fuzz_me(42); }
 inline Outcome run_fuzz_fwd(std::uint64_t seed) {
   Outcome out;
   Check ck(out);
-  auto sim = core::forward_world(sim::Topology::ring(4), 1, seed);
+  auto sim = golden::fwd_world(sim::Topology::ring(4), seed);
   Rng fuzz_rng(seed * 7 + 5);
   sim::FuzzOptions fo;
   fo.forward_header_n = 4;
   fo.wild_flags = true;
   sim::fuzz(*sim, fuzz_rng, fo);
   const std::uint64_t ghosts = core::forward_ghost_budget(*sim);
-  ck.require(core::request_forward(*sim, 0, 2,
-                                   Value::integer(2'000'000 +
-                                                  static_cast<int>(seed))),
+  svc::Client client(*sim);
+  const auto seeded = static_cast<std::int64_t>(seed);
+  ck.require(client
+                 .submit(0, svc::ForwardMsg{.dst = 2,
+                                            .payload = Value::integer(
+                                                2'000'000 + seeded)})
+                 .accepted(),
              "fuzz.fwd: submit 0->2 accepted");
-  ck.require(core::request_forward(*sim, 1, 3,
-                                   Value::integer(3'000'000 +
-                                                  static_cast<int>(seed))),
+  ck.require(client
+                 .submit(1, svc::ForwardMsg{.dst = 3,
+                                            .payload = Value::integer(
+                                                3'000'000 + seeded)})
+                 .accepted(),
              "fuzz.fwd: submit 1->3 accepted");
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(seed));
   sim->run(400'000, [](sim::Simulator&) { return false; });

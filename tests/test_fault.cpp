@@ -601,7 +601,9 @@ TEST_P(FaultChaos, MidFaultTerminalAndPostFaultServed) {
   }
   svc::AwaitOptions bw;
   bw.max_steps = 5'000'000;
-  ASSERT_TRUE(client.run_until(post, bw)) << plan.repro_line();
+  const auto res = client.await_all(post, bw);
+  ASSERT_EQ(res, svc::AwaitResult::Done)
+      << svc::await_result_name(res) << " " << plan.repro_line();
   for (std::size_t i = 0; i < post.size(); ++i) {
     const svc::SessionResult r = client.result(post[i]);
     EXPECT_TRUE(r.completed) << plan.repro_line();
@@ -696,7 +698,9 @@ TEST_P(StormChaos, MidStormTerminalAndPostStormServed) {
   }
   svc::AwaitOptions bw;
   bw.max_steps = 5'000'000;
-  ASSERT_TRUE(client.run_until(post, bw)) << plan.repro_line();
+  const auto res = client.await_all(post, bw);
+  ASSERT_EQ(res, svc::AwaitResult::Done)
+      << svc::await_result_name(res) << " " << plan.repro_line();
   for (std::size_t i = 0; i < post.size(); ++i) {
     const svc::SessionResult r = client.result(post[i]);
     EXPECT_TRUE(r.completed) << plan.repro_line();

@@ -18,17 +18,17 @@
 #include <vector>
 
 #include "core/forward_world.hpp"
+#include "golden_scenarios.hpp"
 #include "core/specs.hpp"
 #include "runtime/thread_runtime.hpp"
 #include "sim/adversary.hpp"
 #include "sim/fuzz.hpp"
 #include "sim/simulator.hpp"
+#include "svc/client.hpp"
 
 namespace snapstab {
 namespace {
 
-using core::Forward;
-using core::ForwardProcess;
 using sim::RoutingTable;
 using sim::Simulator;
 using sim::Topology;
@@ -108,72 +108,68 @@ TEST(FwdHeader, PacksAndUnpacksEveryField) {
 // Clean-start delivery.
 // ---------------------------------------------------------------------------
 
-// Stop predicate: every submission of this test (payloads >= kBase) has
-// surfaced as a delivery.
+// Test payloads are >= kBase: outside Value::random's range, so no fuzzed
+// ghost can impersonate them.
 constexpr std::int64_t kBase = 1'000'000;
 
-std::function<bool(Simulator&)> delivered_at_least(int expected) {
-  // Incremental log scan — shared cursor so the per-step cost stays O(new).
-  auto scanned = std::make_shared<std::size_t>(0);
-  auto matched = std::make_shared<int>(0);
-  return [scanned, matched, expected](Simulator& s) {
-    const auto& events = s.log().events();
-    for (; *scanned < events.size(); ++*scanned) {
-      const auto& e = events[*scanned];
-      if (e.layer == sim::Layer::Service &&
-          e.kind == sim::ObsKind::FwdDeliver && e.value.as_int() >= kBase)
-        ++*matched;
-    }
-    return *matched >= expected;
-  };
+svc::Session send(svc::Client& client, sim::ProcessId origin,
+                  sim::ProcessId dst, std::int64_t payload) {
+  return client.submit(origin, svc::ForwardMsg{
+                                   .dst = dst,
+                                   .payload = Value::integer(payload)});
 }
 
 TEST(Forwarding, SingleHopDeliversExactlyOnce) {
-  auto sim = core::forward_world(Topology::line(2), 1, 1);
+  auto sim = golden::fwd_world(Topology::line(2), 1);
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(1));
-  ASSERT_TRUE(core::request_forward(*sim, 0, 1, Value::integer(kBase)));
-  ASSERT_EQ(sim->run(100'000, delivered_at_least(1)),
-            Simulator::StopReason::Predicate);
+  svc::Client client(*sim);
+  const svc::Session s = send(client, 0, 1, kBase);
+  ASSERT_TRUE(s.accepted());
+  const auto res = client.await_all({s}, {.max_steps = 100'000});
+  ASSERT_EQ(res, svc::AwaitResult::Done) << svc::await_result_name(res);
   const auto report = core::check_forward_spec(*sim);
   EXPECT_TRUE(report.ok()) << report.summary();
-  EXPECT_EQ(sim->process_as<ForwardProcess>(1).forward().delivered_count(),
+  EXPECT_EQ(sim->process_as<svc::ServiceHost>(1).forward().delivered_count(),
             1u);
 }
 
 TEST(Forwarding, MultiHopCrossTrafficOnALine) {
-  auto sim = core::forward_world(Topology::line(5), 1, 2);
+  auto sim = golden::fwd_world(Topology::line(5), 2);
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(2));
-  ASSERT_TRUE(core::request_forward(*sim, 0, 4, Value::integer(kBase + 0)));
-  ASSERT_TRUE(core::request_forward(*sim, 4, 0, Value::integer(kBase + 1)));
-  ASSERT_TRUE(core::request_forward(*sim, 1, 3, Value::integer(kBase + 2)));
-  ASSERT_TRUE(core::request_forward(*sim, 2, 2, Value::integer(kBase + 3)));
-  ASSERT_EQ(sim->run(2'000'000, delivered_at_least(4)),
-            Simulator::StopReason::Predicate);
+  svc::Client client(*sim);
+  const std::vector<svc::Session> sessions = {
+      send(client, 0, 4, kBase + 0), send(client, 4, 0, kBase + 1),
+      send(client, 1, 3, kBase + 2), send(client, 2, 2, kBase + 3)};
+  for (const svc::Session& s : sessions) ASSERT_TRUE(s.accepted());
+  const auto res = client.await_all(sessions, {.max_steps = 2'000'000});
+  ASSERT_EQ(res, svc::AwaitResult::Done) << svc::await_result_name(res);
   const auto report = core::check_forward_spec(*sim);
   EXPECT_TRUE(report.ok()) << report.summary();
   // The relays actually relayed (0 -> 4 crosses three intermediate nodes).
   std::uint64_t relayed = 0;
   for (int p = 0; p < 5; ++p)
-    relayed += sim->process_as<ForwardProcess>(p).forward().relayed_count();
+    relayed += sim->process_as<svc::ServiceHost>(p).forward().relayed_count();
   EXPECT_GE(relayed, 6u);
 }
 
 TEST(Forwarding, SelfAddressedSubmissionDeliversLocally) {
-  auto sim = core::forward_world(Topology::line(2), 1, 3,
-                                 Forward::Options{.hop_buffer = 2});
+  auto sim = golden::fwd_world(Topology::line(2), 3, 1, {.hop_buffer = 2});
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(3));
-  ASSERT_TRUE(core::request_forward(*sim, 0, 0, Value::integer(kBase)));
-  ASSERT_TRUE(core::request_forward(*sim, 0, 0, Value::integer(kBase + 1)));
+  svc::Client client(*sim);
+  const std::vector<svc::Session> sessions = {send(client, 0, 0, kBase),
+                                              send(client, 0, 0, kBase + 1)};
+  for (const svc::Session& s : sessions) ASSERT_TRUE(s.accepted());
   // The local delivery queue honors the same hop_buffer bound as out-links.
-  EXPECT_FALSE(core::request_forward(*sim, 0, 0, Value::integer(kBase + 2)));
-  ASSERT_EQ(sim->run(10'000, delivered_at_least(2)),
-            Simulator::StopReason::Predicate);
+  EXPECT_EQ(send(client, 0, 0, kBase + 2).admission,
+            core::ForwardSubmit::SelfDestination);
+  const auto res = client.await_all(sessions, {.max_steps = 10'000});
+  ASSERT_EQ(res, svc::AwaitResult::Done) << svc::await_result_name(res);
   EXPECT_TRUE(core::check_forward_spec(*sim).ok());
 }
 
 TEST(Forwarding, RejectsDestinationsOutsideTheTopology) {
-  auto sim = core::forward_world(Topology::line(3), 1, 4);
-  auto& fwd = sim->process_as<ForwardProcess>(0).forward();
+  auto sim = golden::fwd_world(Topology::line(3), 4);
+  auto& fwd = sim->process_as<svc::ServiceHost>(0).forward();
   EXPECT_EQ(fwd.submit(Value::integer(1), -1), core::ForwardSubmit::NoRoute);
   EXPECT_EQ(fwd.submit(Value::integer(1), 3), core::ForwardSubmit::NoRoute);
 }
@@ -183,32 +179,34 @@ TEST(Forwarding, RejectsDestinationsOutsideTheTopology) {
 // ---------------------------------------------------------------------------
 
 TEST(Forwarding, FullFirstHopBufferRefusesWithoutLosingAcceptedPayloads) {
-  auto sim = core::forward_world(Topology::line(3), 1, 5,
-                                 Forward::Options{.hop_buffer = 2});
+  auto sim = golden::fwd_world(Topology::line(3), 5, 1, {.hop_buffer = 2});
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(5));
+  svc::Client client(*sim);
   // Two submissions fill the first hop (one active + one queued); the third
-  // is refused and records nothing.
-  ASSERT_TRUE(core::request_forward(*sim, 0, 2, Value::integer(kBase + 0)));
-  ASSERT_TRUE(core::request_forward(*sim, 0, 2, Value::integer(kBase + 1)));
-  // submit() alone would also refuse — request_forward must not log it.
-  EXPECT_FALSE(core::request_forward(*sim, 0, 2, Value::integer(kBase + 2)));
-  ASSERT_EQ(sim->run(1'000'000, delivered_at_least(2)),
-            Simulator::StopReason::Predicate);
+  // is refused and records nothing (the spec check below would flag a
+  // logged submission that never arrives).
+  const std::vector<svc::Session> sessions = {send(client, 0, 2, kBase + 0),
+                                              send(client, 0, 2, kBase + 1)};
+  for (const svc::Session& s : sessions) ASSERT_TRUE(s.accepted());
+  EXPECT_EQ(send(client, 0, 2, kBase + 2).admission,
+            core::ForwardSubmit::BufferFull);
+  const auto res = client.await_all(sessions, {.max_steps = 1'000'000});
+  ASSERT_EQ(res, svc::AwaitResult::Done) << svc::await_result_name(res);
   const auto report = core::check_forward_spec(*sim);
   EXPECT_TRUE(report.ok()) << report.summary();
 }
 
 TEST(Forwarding, BackpressureStallsTheHandshakeInsteadOfDropping) {
   // Relay 1 sits between 0 and 2 with a one-slot buffer; flood it from 0.
-  auto sim = core::forward_world(Topology::line(3), 1, 6,
-                                 Forward::Options{.hop_buffer = 1});
+  auto sim = golden::fwd_world(Topology::line(3), 6, 1, {.hop_buffer = 1});
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(6));
-  ASSERT_TRUE(core::request_forward(*sim, 0, 2, Value::integer(kBase + 0)));
-  ASSERT_EQ(sim->run(1'000'000, delivered_at_least(1)),
-            Simulator::StopReason::Predicate);
-  ASSERT_TRUE(core::request_forward(*sim, 0, 2, Value::integer(kBase + 1)));
-  ASSERT_EQ(sim->run(1'000'000, delivered_at_least(2)),
-            Simulator::StopReason::Predicate);
+  svc::Client client(*sim);
+  for (int i = 0; i < 2; ++i) {
+    const svc::Session s = send(client, 0, 2, kBase + i);
+    ASSERT_TRUE(s.accepted()) << "submission " << i;
+    const auto res = client.await_all({s}, {.max_steps = 1'000'000});
+    ASSERT_EQ(res, svc::AwaitResult::Done) << svc::await_result_name(res);
+  }
   const auto report = core::check_forward_spec(*sim);
   EXPECT_TRUE(report.ok()) << report.summary();
 }
@@ -245,9 +243,9 @@ Topology snap_topology(int family, std::uint64_t seed) {
 TEST_P(ForwardingSnap, EveryPostInitSendDeliveredExactlyOnce) {
   const auto [family, seed] = GetParam();
   const int capacity = 1 + static_cast<int>(seed % 2);  // c ∈ {1, 2}
-  auto sim = core::forward_world(
-      snap_topology(family, seed), static_cast<std::size_t>(capacity),
-      seed * 31 + static_cast<std::uint64_t>(family));
+  auto sim = golden::fwd_world(snap_topology(family, seed),
+                               seed * 31 + static_cast<std::uint64_t>(family),
+                               static_cast<std::size_t>(capacity));
   const int n = sim->process_count();
 
   // Arbitrary initial configuration: scrambled handshakes and queues,
@@ -261,24 +259,26 @@ TEST_P(ForwardingSnap, EveryPostInitSendDeliveredExactlyOnce) {
 
   // Post-initialization sends: distinctive payloads no fuzzed message can
   // collide with, across seed-dependent multi-hop routes.
-  const int submissions = 4;
-  int accepted = 0;
+  const std::size_t submissions = 4;
+  svc::Client client(*sim);
+  std::vector<svc::Session> sessions;
   Rng pick(seed + 1);
-  while (accepted < submissions) {
+  while (sessions.size() < submissions) {
     const auto origin =
         static_cast<int>(pick.below(static_cast<std::uint64_t>(n)));
     const auto dst =
         static_cast<int>(pick.below(static_cast<std::uint64_t>(n)));
-    if (core::request_forward(*sim, origin, dst,
-                              Value::integer(kBase + accepted)))
-      ++accepted;
+    const auto next = static_cast<std::int64_t>(sessions.size());
+    const svc::Session s = send(client, origin, dst, kBase + next);
+    if (s.accepted()) sessions.push_back(s);
   }
 
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(
       seed + 2, sim::LossOptions{.rate = 0.25, .max_consecutive = 4}));
-  ASSERT_EQ(sim->run(5'000'000, delivered_at_least(submissions)),
-            Simulator::StopReason::Predicate)
-      << "submissions not delivered from fuzzed configuration";
+  const auto res = client.await_all(sessions, {.max_steps = 5'000'000});
+  ASSERT_EQ(res, svc::AwaitResult::Done)
+      << svc::await_result_name(res)
+      << ": submissions not delivered from fuzzed configuration";
 
   const auto report = core::check_forward_spec(
       *sim, {.require_all_delivered = true, .max_ghost_deliveries = budget});
@@ -298,7 +298,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(Forwarding, GhostDeliveriesStayWithinTheCorruptionBudget) {
   // No submissions at all: every delivery the run produces is a ghost and
   // must be attributable to a corrupted initial entry.
-  auto sim = core::forward_world(Topology::ring(6), 2, 77);
+  auto sim = golden::fwd_world(Topology::ring(6), 77, 2);
   Rng fuzz_rng(77);
   sim::FuzzOptions fuzz_opts;
   fuzz_opts.flag_limit = 6;
@@ -321,31 +321,23 @@ TEST(Forwarding, GhostDeliveriesStayWithinTheCorruptionBudget) {
 // ---------------------------------------------------------------------------
 
 TEST(Forwarding, SurvivesRepeatedAdversaryStrikes) {
-  auto sim = core::forward_world(Topology::ring(5), 1, 91);
+  auto sim = golden::fwd_world(Topology::ring(5), 91);
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(
       92, sim::LossOptions{.rate = 0.15, .max_consecutive = 4}));
   sim::Adversary adversary(93, {.flag_limit = 4});
+  svc::Client client(*sim);
   for (int round = 0; round < 8; ++round) {
     adversary.strike(*sim);
-    const int origin = round % 5;
-    const int dst = (round + 2) % 5;
-    const Value payload = Value::integer(kBase + round);
-    ASSERT_TRUE(core::request_forward(*sim, origin, dst, payload));
     // Snap-stabilization, per round: the payload submitted *after* this
     // strike reaches its destination. (Remnants of earlier rounds may
     // lawfully re-surface after later strikes — the paper's unexpected
-    // events — so each round watches only its own payload.)
-    const std::size_t mark = sim->log().events().size();
-    const auto done = [&, mark](Simulator& s) {
-      const auto& events = s.log().events();
-      for (std::size_t i = mark; i < events.size(); ++i)
-        if (events[i].kind == sim::ObsKind::FwdDeliver &&
-            events[i].process == dst && events[i].value == payload)
-          return true;
-      return false;
-    };
-    ASSERT_EQ(sim->run(5'000'000, done), Simulator::StopReason::Predicate)
-        << "round " << round;
+    // events — so each round awaits only its own session.)
+    const svc::Session s = send(client, round % 5, (round + 2) % 5,
+                                kBase + round);
+    ASSERT_TRUE(s.accepted()) << "round " << round;
+    const auto res = client.await_all({s}, {.max_steps = 5'000'000});
+    ASSERT_EQ(res, svc::AwaitResult::Done)
+        << svc::await_result_name(res) << " round " << round;
     // Conservation after every strike (clear + refill) and every round of
     // drops and deliveries — the invariant the adversary must not break.
     const auto stats = sim->network().aggregate_channel_stats();
@@ -365,19 +357,17 @@ TEST(Forwarding, DeliversAcrossThreadRuntimeMailboxes) {
   auto routes = std::make_shared<const RoutingTable>(topo);
   runtime::ThreadRuntime rt(topo, {.seed = 11});
   for (int p = 0; p < 4; ++p)
-    rt.add_process(std::make_unique<ForwardProcess>(p, topo.degree(p),
-                                                    routes));
-  rt.with_process<ForwardProcess>(0, [](ForwardProcess& p) {
-    return p.forward().submit(Value::integer(kBase), 2);  // two hops away
-  });
-  const bool ok = rt.run(
-      [&rt] {
-        return rt.with_process<ForwardProcess>(2, [](ForwardProcess& p) {
-          return p.forward().delivered_count() >= 1;
-        });
-      },
-      10s);
-  EXPECT_TRUE(ok) << "payload did not cross the thread runtime";
+    rt.add_process(std::make_unique<svc::ServiceHost>(
+        svc::HostConfig{.degree = topo.degree(p),
+                        .with_pif = false,
+                        .routes = routes,
+                        .self = p}));
+  svc::Client client(rt);
+  const svc::Session s = send(client, 0, 2, kBase);  // two hops away
+  const auto res = client.await_all({s}, {.timeout = 10s});
+  EXPECT_EQ(res, svc::AwaitResult::Done)
+      << svc::await_result_name(res)
+      << ": payload did not cross the thread runtime";
   int deliveries = 0;
   for (const auto& e : rt.observations())
     if (e.kind == sim::ObsKind::FwdDeliver &&

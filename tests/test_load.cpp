@@ -1,17 +1,21 @@
 // test_load.cpp — the load subsystem: histogram exactness against a
-// sorted-vector oracle, shard-merge algebra, session recycling, and the
-// sharded workload determinism pin (bit-identical aggregate JSON for any
-// worker-thread count).
+// sorted-vector oracle, shard-merge algebra, the parallel_shards fan
+// primitive, session recycling, and the sharded workload determinism pin
+// (bit-identical aggregate JSON for any worker-thread count).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
-#include "core/stack.hpp"
+#include "core/specs.hpp"
 #include "load/histogram.hpp"
+#include "load/shard.hpp"
 #include "load/workload.hpp"
+#include "sim/fuzz.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/simulator.hpp"
 #include "svc/client.hpp"
@@ -134,6 +138,97 @@ TEST(LoadHistogram, MergeIsAssociativeAndCommutative) {
 }
 
 // ---------------------------------------------------------------------------
+// parallel_shards: every job index runs exactly once whatever the
+// jobs-to-threads ratio, and aggregates folded in index order are
+// bit-identical for any worker count (the determinism contract the
+// experiment binaries' JSON output rests on).
+// ---------------------------------------------------------------------------
+
+TEST(LoadShards, EveryIndexRunsExactlyOnceWhenJobsDontDivide) {
+  // 7 jobs on 3 threads: the uneven tail must be neither skipped nor
+  // double-counted.
+  std::atomic<int> calls{0};
+  const auto results = parallel_shards(7, 3, [&](int t) {
+    calls.fetch_add(1);
+    return t * 10;
+  });
+  EXPECT_EQ(calls.load(), 7);
+  ASSERT_EQ(results.size(), 7u);
+  for (int t = 0; t < 7; ++t)
+    EXPECT_EQ(results[static_cast<std::size_t>(t)], t * 10) << "job " << t;
+}
+
+TEST(LoadShards, MoreThreadsThanJobsAndZeroJobsAreSafe) {
+  const auto results = parallel_shards(2, 8, [](int t) { return t + 1; });
+  ASSERT_EQ(results.size(), 2u);
+  EXPECT_EQ(results[0], 1);
+  EXPECT_EQ(results[1], 2);
+  EXPECT_TRUE(parallel_shards(0, 4, [](int t) { return t; }).empty());
+}
+
+// A miniature experiment cell: fuzz + session-driven broadcast + check per
+// seed, returning the plain aggregate data a bench JSON would carry.
+struct CellOutcome {
+  bool completed = false;
+  bool violation = false;
+  std::uint64_t steps = 0;
+  std::uint64_t sends = 0;
+};
+
+CellOutcome run_pif_cell(int t) {
+  CellOutcome out;
+  const auto seed = 400u + static_cast<std::uint64_t>(t);
+  sim::Simulator world(3, 1, seed);
+  for (int i = 0; i < 3; ++i)
+    world.add_process(std::make_unique<svc::ServiceHost>(
+        svc::HostConfig{.degree = 2}));
+  Rng rng(seed * 3);
+  sim::fuzz(world, rng);
+  world.set_scheduler(std::make_unique<sim::RandomScheduler>(seed));
+  svc::Client client(world);
+  const svc::Session s =
+      client.submit(0, svc::PifBroadcast{Value::integer(t)});
+  out.completed =
+      client.await_all({s}, {.max_steps = 500'000}) == svc::AwaitResult::Done;
+  out.steps = world.step_count();
+  out.sends = world.metrics().sends;
+  const auto report = core::check_pif_spec(
+      world, {.require_termination = false, .require_start = false});
+  out.violation = !report.ok();
+  return out;
+}
+
+std::string cell_aggregate_json(int threads) {
+  const auto outcomes = parallel_shards(7, threads, run_pif_cell);
+  // Fold in index order, exactly like the exp_* binaries do.
+  std::uint64_t steps = 0;
+  std::uint64_t sends = 0;
+  int completed = 0;
+  int violations = 0;
+  for (const auto& out : outcomes) {
+    steps += out.steps;
+    sends += out.sends;
+    completed += out.completed ? 1 : 0;
+    violations += out.violation ? 1 : 0;
+  }
+  return "{\"completed\":" + std::to_string(completed) +
+         ",\"violations\":" + std::to_string(violations) +
+         ",\"steps\":" + std::to_string(steps) +
+         ",\"sends\":" + std::to_string(sends) + "}";
+}
+
+TEST(LoadShards, CellAggregateJsonIsIdenticalForOneAndThreeThreads) {
+  // 7 cells, 7 % 3 != 0: the aggregate JSON must not depend on the worker
+  // count — same cells, same fold order, worker-private string pools.
+  const std::string sequential = cell_aggregate_json(1);
+  const std::string parallel = cell_aggregate_json(3);
+  EXPECT_EQ(sequential, parallel);
+  // And the cells actually did something.
+  EXPECT_NE(sequential.find("\"completed\":7"), std::string::npos)
+      << sequential;
+}
+
+// ---------------------------------------------------------------------------
 // Session recycling: a submit -> complete -> release loop leaves no
 // residue in the host's session map (O(live) memory, not O(total)).
 // ---------------------------------------------------------------------------
@@ -141,7 +236,8 @@ TEST(LoadHistogram, MergeIsAssociativeAndCommutative) {
 TEST(LoadRecycle, HostSessionMapStaysEmptyAcrossRecycledSessions) {
   auto sim = std::make_unique<sim::Simulator>(2, 1, 45);
   for (int i = 0; i < 2; ++i)
-    sim->add_process(std::make_unique<core::PifProcess>(1, 1));
+    sim->add_process(std::make_unique<svc::ServiceHost>(
+        svc::HostConfig{.degree = 1}));
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(45));
   svc::Client client(*sim);
   auto& host = sim->process_as<svc::ServiceHost>(0);
@@ -149,7 +245,8 @@ TEST(LoadRecycle, HostSessionMapStaysEmptyAcrossRecycledSessions) {
     const svc::Session s =
         client.submit(0, svc::PifBroadcast{Value::integer(i)});
     EXPECT_EQ(host.session_count(), 1);
-    ASSERT_TRUE(client.run_until(s));
+    const auto res = client.await_all({s});
+    ASSERT_EQ(res, svc::AwaitResult::Done) << svc::await_result_name(res);
     client.release(s);
     EXPECT_EQ(host.session_count(), 0) << "iteration " << i;
   }

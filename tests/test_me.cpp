@@ -5,9 +5,9 @@
 #include <memory>
 
 #include "core/specs.hpp"
-#include "core/stack.hpp"
 #include "sim/fuzz.hpp"
 #include "sim/simulator.hpp"
+#include "svc/client.hpp"
 
 namespace snapstab::core {
 namespace {
@@ -15,32 +15,34 @@ namespace {
 using sim::Simulator;
 
 std::unique_ptr<Simulator> me_world(const std::vector<std::int64_t>& ids,
-                                    std::uint64_t seed,
-                                    StackOptions options = {}) {
+                                    std::uint64_t seed, MeOptions me = {}) {
   const int n = static_cast<int>(ids.size());
   auto sim = std::make_unique<Simulator>(n, 1, seed);
   for (int i = 0; i < n; ++i)
-    sim->add_process(std::make_unique<MeStackProcess>(
-        ids[static_cast<std::size_t>(i)], n - 1, options));
+    sim->add_process(std::make_unique<svc::ServiceHost>(
+        svc::HostConfig{.id = ids[static_cast<std::size_t>(i)],
+                        .degree = n - 1,
+                        .with_me = true,
+                        .me_options = me}));
   return sim;
 }
 
 Me& me_of(Simulator& sim, int p) {
-  return sim.process_as<MeStackProcess>(p).me();
+  return sim.process_as<svc::ServiceHost>(p).me();
 }
 
-bool request_served(Simulator& s, int p) {
-  return me_of(s, p).request_state() == RequestState::Done;
+// Submits a critical-section session at `p` and awaits it.
+svc::AwaitResult serve_cs(Simulator& sim, int p, std::uint64_t max_steps) {
+  svc::Client client(sim);
+  return client.await_all({client.submit(p, svc::CriticalSection{})},
+                          {.max_steps = max_steps});
 }
 
 TEST(Me, SingleRequestIsServed) {
   // Lemma 12 (Start): a requesting process enters the CS in finite time.
   auto sim = me_world({30, 10, 20}, 1);
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(2));
-  ASSERT_TRUE(request_cs(*sim, 0));
-  ASSERT_EQ(sim->run(1'000'000,
-                     [](Simulator& s) { return request_served(s, 0); }),
-            Simulator::StopReason::Predicate);
+  ASSERT_EQ(serve_cs(*sim, 0, 1'000'000), svc::AwaitResult::Done);
   const auto report = check_me_spec(*sim);
   EXPECT_TRUE(report.ok()) << report.summary();
 }
@@ -48,23 +50,20 @@ TEST(Me, SingleRequestIsServed) {
 TEST(Me, LeaderItselfCanRequest) {
   auto sim = me_world({10, 30, 20}, 3);
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(4));
-  ASSERT_TRUE(request_cs(*sim, 0));  // process 0 holds the smallest id
-  ASSERT_EQ(sim->run(1'000'000,
-                     [](Simulator& s) { return request_served(s, 0); }),
-            Simulator::StopReason::Predicate);
+  // Process 0 holds the smallest id.
+  ASSERT_EQ(serve_cs(*sim, 0, 1'000'000), svc::AwaitResult::Done);
   EXPECT_TRUE(check_me_spec(*sim).ok());
 }
 
 TEST(Me, AllProcessesRequestingAreAllServedExclusively) {
   auto sim = me_world({5, 9, 2, 7}, 5);
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(6));
-  for (int p = 0; p < 4; ++p) ASSERT_TRUE(request_cs(*sim, p));
-  const auto reason = sim->run(4'000'000, [](Simulator& s) {
-    for (int p = 0; p < 4; ++p)
-      if (!request_served(s, p)) return false;
-    return true;
-  });
-  ASSERT_EQ(reason, Simulator::StopReason::Predicate);
+  svc::Client client(*sim);
+  std::vector<svc::Session> sessions;
+  for (int p = 0; p < 4; ++p)
+    sessions.push_back(client.submit(p, svc::CriticalSection{}));
+  const auto res = client.await_all(sessions, {.max_steps = 4'000'000});
+  ASSERT_EQ(res, svc::AwaitResult::Done) << svc::await_result_name(res);
   const auto report = check_me_spec(*sim);
   EXPECT_TRUE(report.ok()) << report.summary();
   // Every process entered the CS exactly once (one request each).
@@ -78,8 +77,8 @@ TEST(Me, AllProcessesRequestingAreAllServedExclusively) {
 
 TEST(Me, RequestWhileInServiceIsRejected) {
   auto sim = me_world({1, 2}, 7);
-  ASSERT_TRUE(request_cs(*sim, 0));
-  EXPECT_FALSE(request_cs(*sim, 0));  // paper: no re-request until Done
+  ASSERT_TRUE(me_of(*sim, 0).request_cs());
+  EXPECT_FALSE(me_of(*sim, 0).request_cs());  // no re-request until Done
 }
 
 TEST(Me, FavourRotationVisitsEveryProcess) {
@@ -91,7 +90,7 @@ TEST(Me, FavourRotationVisitsEveryProcess) {
   for (int probe = 0; probe < 12; ++probe) {
     const int before = me_of(*sim, 0).value();
     sim->run(400'000, [before](Simulator& s) {
-      return s.process_as<MeStackProcess>(0).me().value() != before;
+      return s.process_as<svc::ServiceHost>(0).me().value() != before;
     });
     favoured.insert(me_of(*sim, 0).value());
   }
@@ -107,10 +106,10 @@ TEST(Me, ExitForcesEveryoneToPhaseZero) {
   me_of(*sim, 1).mutable_state().phase = 3;
   me_of(*sim, 2).mutable_state().phase = 2;
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(12));
-  ASSERT_TRUE(request_cs(*sim, 0));
+  svc::Client(*sim).submit(0, svc::CriticalSection{});
   ASSERT_EQ(sim->run(1'000'000,
                      [](Simulator& s) {
-                       return s.process_as<MeStackProcess>(0).me().in_cs();
+                       return s.process_as<svc::ServiceHost>(0).me().in_cs();
                      }),
             Simulator::StopReason::Predicate);
   // The EXIT broadcast was received by both peers before the CS entry.
@@ -131,10 +130,7 @@ TEST(Me, GhostWinnerCannotStealTheCs) {
   ghost.mutable_state().request = RequestState::In;  // ghost "request"
   ghost.mutable_state().privileges = {true, true};
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(14));
-  ASSERT_TRUE(request_cs(*sim, 1));
-  ASSERT_EQ(sim->run(2'000'000,
-                     [](Simulator& s) { return request_served(s, 1); }),
-            Simulator::StopReason::Predicate);
+  ASSERT_EQ(serve_cs(*sim, 1, 2'000'000), svc::AwaitResult::Done);
   const auto report = check_me_spec(*sim);
   EXPECT_TRUE(report.ok()) << report.summary();
 }
@@ -143,16 +139,11 @@ TEST(Me, GhostInsideCsDelaysButDoesNotBreakExclusion) {
   // The footnote-1 adversary: a process starts *inside* a ghost CS. The
   // requesting process must wait it out (the ghost ignores messages while
   // busy) and then be served alone.
-  StackOptions opts;
-  opts.me.cs_length = 5;
-  auto sim = me_world({10, 20}, 15, opts);
+  auto sim = me_world({10, 20}, 15, {.cs_length = 5});
   auto& ghost = me_of(*sim, 1);
   ghost.mutable_state().cs_remaining = 5;  // mid-CS at time 0
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(16));
-  ASSERT_TRUE(request_cs(*sim, 0));
-  ASSERT_EQ(sim->run(2'000'000,
-                     [](Simulator& s) { return request_served(s, 0); }),
-            Simulator::StopReason::Predicate);
+  ASSERT_EQ(serve_cs(*sim, 0, 2'000'000), svc::AwaitResult::Done);
   const auto report = check_me_spec(*sim);
   EXPECT_TRUE(report.ok()) << report.summary();
 }
@@ -162,17 +153,21 @@ TEST(Me, ServesRepeatedRequestsFairly) {
   auto sim = me_world({3, 1, 2}, 17);
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(18));
   std::vector<int> grants(3, 0);
-  for (int p = 0; p < 3; ++p) request_cs(*sim, p);
+  svc::Client client(*sim);
+  std::vector<svc::Session> sessions;
+  for (int p = 0; p < 3; ++p)
+    sessions.push_back(client.submit(p, svc::CriticalSection{}));
   for (int iteration = 0; iteration < 40; ++iteration) {
-    sim->run(300'000, [](Simulator& s) {
-      for (int p = 0; p < 3; ++p)
-        if (request_served(s, p)) return true;
+    sim->run(300'000, [&](Simulator&) {
+      for (const svc::Session& s : sessions)
+        if (client.done(s)) return true;
       return false;
     });
     for (int p = 0; p < 3; ++p) {
-      if (request_served(*sim, p)) {
+      auto& s = sessions[static_cast<std::size_t>(p)];
+      if (client.done(s)) {
         ++grants[static_cast<std::size_t>(p)];
-        request_cs(*sim, p);  // immediately request again
+        s = client.submit(p, svc::CriticalSection{});  // request again
       }
     }
   }
@@ -206,15 +201,10 @@ TEST(Me, WinnerPredicateMatchesPaperDefinition) {
 TEST(Me, PaperFaithfulIncrementDeadlocks) {
   // DESIGN.md §6.1: with A7's literal `(Value+1) mod (n+1)`, Value_L = n
   // favours nobody and the token never advances again — requests starve.
-  StackOptions faithful;
-  faithful.me.paper_faithful_increment = true;
-  auto sim = me_world({10, 20, 30}, 19, faithful);
+  auto sim = me_world({10, 20, 30}, 19, {.paper_faithful_increment = true});
   me_of(*sim, 0).mutable_state().value = 3;  // n = 3: the poison value
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(20));
-  ASSERT_TRUE(request_cs(*sim, 1));
-  EXPECT_EQ(sim->run(400'000,
-                     [](Simulator& s) { return request_served(s, 1); }),
-            Simulator::StopReason::BudgetExhausted);
+  EXPECT_EQ(serve_cs(*sim, 1, 400'000), svc::AwaitResult::BudgetExhausted);
   EXPECT_EQ(me_of(*sim, 0).value(), 3);  // frozen forever
 }
 
@@ -226,22 +216,15 @@ TEST(Me, ModNFixSurvivesTheSamePoisonValue) {
   auto sim = me_world({10, 20, 30}, 21);
   me_of(*sim, 0).mutable_state().value = 2;  // last in-domain value
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(22));
-  ASSERT_TRUE(request_cs(*sim, 1));
-  EXPECT_EQ(sim->run(2'000'000,
-                     [](Simulator& s) { return request_served(s, 1); }),
-            Simulator::StopReason::Predicate);
+  EXPECT_EQ(serve_cs(*sim, 1, 2'000'000), svc::AwaitResult::Done);
 }
 
 TEST(Me, CsBodyRunsExactlyOncePerGrant) {
-  StackOptions opts;
   int executions = 0;
-  opts.me.cs_body = [&executions] { ++executions; };
-  auto sim = me_world({10, 20}, 23, opts);
+  auto sim = me_world({10, 20}, 23,
+                      {.cs_body = [&executions] { ++executions; }});
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(24));
-  ASSERT_TRUE(request_cs(*sim, 1));
-  ASSERT_EQ(sim->run(2'000'000,
-                     [](Simulator& s) { return request_served(s, 1); }),
-            Simulator::StopReason::Predicate);
+  ASSERT_EQ(serve_cs(*sim, 1, 2'000'000), svc::AwaitResult::Done);
   // cs_body runs for the requested CS of p1; p0's (10) non-requesting wins
   // skip the CS entirely, so only ghost CS could add counts — none here
   // (clean start).
@@ -249,10 +232,8 @@ TEST(Me, CsBodyRunsExactlyOncePerGrant) {
 }
 
 TEST(Me, BusyProcessBlocksDeliveries) {
-  StackOptions opts;
-  opts.me.cs_length = 50;
-  auto sim = me_world({10, 20}, 25, opts);
-  auto& stack = sim->process_as<MeStackProcess>(0);
+  auto sim = me_world({10, 20}, 25, {.cs_length = 50});
+  auto& stack = sim->process_as<svc::ServiceHost>(0);
   stack.me().mutable_state().cs_remaining = 50;
   EXPECT_TRUE(stack.busy());
   sim->network().channel(1, 0).push(Message::pif(
@@ -279,30 +260,14 @@ TEST_P(MeProperty, Specification3FromArbitraryConfigurations) {
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(
       seed + 1, sim::LossOptions{.rate = loss, .max_consecutive = 5}));
 
-  // Ghost computations may hold requests hostage initially; requests are
-  // accepted only when Request = Done, so poke until accepted.
-  std::vector<bool> requested(static_cast<std::size_t>(n), false);
+  // Ghost computations may hold the Request variable initially; each
+  // session queues until its process's ghost request has drained.
+  svc::Client client(*sim);
+  std::vector<svc::Session> sessions;
   for (int p = 0; p < n; ++p)
-    requested[static_cast<std::size_t>(p)] = request_cs(*sim, p);
-
-  const auto reason = sim->run(6'000'000, [&](Simulator& s) {
-    bool all_served = true;
-    for (int p = 0; p < n; ++p) {
-      auto& me = s.process_as<MeStackProcess>(p).me();
-      auto ri = static_cast<std::size_t>(p);
-      if (!requested[ri]) {
-        // The fuzzed ghost computation has drained; submit the real
-        // request now.
-        if (me.request_state() == RequestState::Done)
-          requested[ri] = request_cs(s, p);
-        all_served = false;
-        continue;
-      }
-      if (me.request_state() != RequestState::Done) all_served = false;
-    }
-    return all_served;
-  });
-  ASSERT_EQ(reason, Simulator::StopReason::Predicate);
+    sessions.push_back(client.submit(p, svc::CriticalSection{}));
+  const auto res = client.await_all(sessions, {.max_steps = 6'000'000});
+  ASSERT_EQ(res, svc::AwaitResult::Done) << svc::await_result_name(res);
 
   const auto report = check_me_spec(*sim);
   EXPECT_TRUE(report.ok()) << report.summary();

@@ -9,12 +9,12 @@
 #include <string>
 #include <tuple>
 
-#include "core/stack.hpp"
 #include "fault/plan.hpp"
 #include "fault/runtime_injector.hpp"
 #include "net/socket_runtime.hpp"
 #include "net/wire.hpp"
 #include "runtime/thread_runtime.hpp"
+#include "svc/client.hpp"
 
 namespace snapstab::runtime {
 namespace {
@@ -78,18 +78,15 @@ TEST(ThreadRuntime, PifCompletesUnderRealConcurrency) {
   const int n = 4;
   ThreadRuntime rt(n, {.seed = 5});
   for (int i = 0; i < n; ++i)
-    rt.add_process(std::make_unique<core::PifProcess>(n - 1, 1));
-  rt.with_process<core::PifProcess>(0, [](core::PifProcess& p) {
-    p.pif().request(Value::text("threaded"));
-    return 0;
-  });
-  const bool ok = rt.run(
-      [&rt] {
-        return rt.with_process<core::PifProcess>(
-            0, [](core::PifProcess& p) { return p.pif().done(); });
-      },
-      10s);
-  EXPECT_TRUE(ok) << "PIF did not complete on the thread runtime";
+    rt.add_process(std::make_unique<svc::ServiceHost>(
+        svc::HostConfig{.degree = n - 1}));
+  svc::Client client(rt);
+  const auto res = client.await_all(
+      {client.submit(0, svc::PifBroadcast{Value::text("threaded")})},
+      {.timeout = 10s});
+  EXPECT_EQ(res, svc::AwaitResult::Done)
+      << svc::await_result_name(res)
+      << ": PIF did not complete on the thread runtime";
 
   // Every peer generated the receive-brd event for the payload.
   int brd = 0;
@@ -103,17 +100,13 @@ TEST(ThreadRuntime, PifSurvivesInjectedLoss) {
   const int n = 3;
   ThreadRuntime rt(n, {.loss_rate = 0.3, .seed = 7});
   for (int i = 0; i < n; ++i)
-    rt.add_process(std::make_unique<core::PifProcess>(n - 1, 1));
-  rt.with_process<core::PifProcess>(1, [](core::PifProcess& p) {
-    p.pif().request(Value::text("lossy"));
-    return 0;
-  });
-  EXPECT_TRUE(rt.run(
-      [&rt] {
-        return rt.with_process<core::PifProcess>(
-            1, [](core::PifProcess& p) { return p.pif().done(); });
-      },
-      20s));
+    rt.add_process(std::make_unique<svc::ServiceHost>(
+        svc::HostConfig{.degree = n - 1}));
+  svc::Client client(rt);
+  const auto res = client.await_all(
+      {client.submit(1, svc::PifBroadcast{Value::text("lossy")})},
+      {.timeout = 20s});
+  EXPECT_EQ(res, svc::AwaitResult::Done) << svc::await_result_name(res);
 }
 
 TEST(ThreadRuntime, MutualExclusionHoldsWithAtomicWitness) {
@@ -124,27 +117,29 @@ TEST(ThreadRuntime, MutualExclusionHoldsWithAtomicWitness) {
   std::atomic<int> occupancy{0};
   std::atomic<int> peak{0};
   std::atomic<int> grants{0};
-  for (int i = 0; i < n; ++i) {
-    core::StackOptions opts;
-    opts.me.cs_length = 3;
-    opts.me.cs_body = [&occupancy, &peak, &grants] {
-      const int now = occupancy.fetch_add(1) + 1;
-      int expected = peak.load();
-      while (now > expected && !peak.compare_exchange_weak(expected, now)) {
-      }
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-      occupancy.fetch_sub(1);
-      grants.fetch_add(1);
-    };
-    rt.add_process(
-        std::make_unique<core::MeStackProcess>(100 + i, n - 1, opts));
-  }
+  const auto cs_body = [&occupancy, &peak, &grants] {
+    const int now = occupancy.fetch_add(1) + 1;
+    int expected = peak.load();
+    while (now > expected && !peak.compare_exchange_weak(expected, now)) {
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    occupancy.fetch_sub(1);
+    grants.fetch_add(1);
+  };
   for (int i = 0; i < n; ++i)
-    rt.with_process<core::MeStackProcess>(i, [](core::MeStackProcess& s) {
-      return s.me().request_cs();
-    });
-  const bool ok = rt.run([&grants, n] { return grants.load() >= n; }, 30s);
-  EXPECT_TRUE(ok) << "not every request was served";
+    rt.add_process(std::make_unique<svc::ServiceHost>(
+        svc::HostConfig{.id = 100 + i,
+                        .degree = n - 1,
+                        .with_me = true,
+                        .me_options = {.cs_length = 3, .cs_body = cs_body}}));
+  svc::Client client(rt);
+  std::vector<svc::Session> sessions;
+  for (int i = 0; i < n; ++i)
+    sessions.push_back(client.submit(i, svc::CriticalSection{}));
+  const auto res = client.await_all(sessions, {.timeout = 30s});
+  EXPECT_EQ(res, svc::AwaitResult::Done)
+      << svc::await_result_name(res) << ": not every request was served";
+  EXPECT_GE(grants.load(), n);
   EXPECT_EQ(peak.load(), 1) << "two critical sections overlapped";
 }
 
@@ -153,30 +148,17 @@ TEST(ThreadRuntime, FuzzedInitialStatesStillServeRequests) {
   ThreadRuntime rt(n, {.seed = 13});
   Rng rng(131);
   for (int i = 0; i < n; ++i) {
-    auto proc = std::make_unique<core::MeStackProcess>(10 * (i + 1), n - 1);
+    auto proc = std::make_unique<svc::ServiceHost>(
+        svc::HostConfig{.id = 10 * (i + 1), .degree = n - 1, .with_me = true});
     proc->randomize(rng);
     proc->me().mutable_state().cs_remaining = 0;  // no ghost CS: finite test
     rt.add_process(std::move(proc));
   }
-  // Submit the request once the fuzzed ghost computation drains.
-  std::atomic<bool> requested{false};
-  const bool ok = rt.run(
-      [&rt, &requested] {
-        return rt.with_process<core::MeStackProcess>(
-            0, [&requested](core::MeStackProcess& s) {
-              if (!requested.load() &&
-                  s.me().request_state() == core::RequestState::Done) {
-                s.me().request_cs();
-                requested.store(true);
-                return false;
-              }
-              return requested.load() && s.me().request_state() ==
-                                             core::RequestState::Done &&
-                     !s.me().state().externally_requested;
-            });
-      },
-      30s);
-  EXPECT_TRUE(ok);
+  // The session queues until the fuzzed ghost request drains.
+  svc::Client client(rt);
+  const auto res = client.await_all(
+      {client.submit(0, svc::CriticalSection{})}, {.timeout = 30s});
+  EXPECT_EQ(res, svc::AwaitResult::Done) << svc::await_result_name(res);
 }
 
 TEST(ThreadRuntime, ResetServiceRunsOnThreads) {
@@ -186,19 +168,14 @@ TEST(ThreadRuntime, ResetServiceRunsOnThreads) {
   ThreadRuntime rt(n, {.seed = 19});
   std::atomic<int> hooks{0};
   for (int i = 0; i < n; ++i)
-    rt.add_process(std::make_unique<core::ResetProcess>(
-        n - 1, 1, [&hooks](sim::Context&) { hooks.fetch_add(1); }));
-  rt.with_process<core::ResetProcess>(0, [](core::ResetProcess& p) {
-    p.reset().request();
-    return 0;
-  });
-  const bool ok = rt.run(
-      [&rt] {
-        return rt.with_process<core::ResetProcess>(
-            0, [](core::ResetProcess& p) { return p.reset().done(); });
-      },
-      10s);
-  EXPECT_TRUE(ok);
+    rt.add_process(std::make_unique<svc::ServiceHost>(svc::HostConfig{
+        .degree = n - 1,
+        .with_reset = true,
+        .on_reset = [&hooks](sim::Context&) { hooks.fetch_add(1); }}));
+  svc::Client client(rt);
+  const auto res =
+      client.await_all({client.submit(0, svc::Reset{})}, {.timeout = 10s});
+  EXPECT_EQ(res, svc::AwaitResult::Done) << svc::await_result_name(res);
   EXPECT_EQ(hooks.load(), n);  // initiator + every peer
 }
 
@@ -206,29 +183,16 @@ TEST(ThreadRuntime, ElectionServiceRunsOnThreads) {
   const int n = 4;
   ThreadRuntime rt(n, {.seed = 23});
   for (int i = 0; i < n; ++i)
-    rt.add_process(
-        std::make_unique<core::ElectionProcess>(100 - i, n - 1, 1));
+    rt.add_process(std::make_unique<svc::ServiceHost>(svc::HostConfig{
+        .id = 100 - i, .degree = n - 1, .with_election = true}));
+  svc::Client client(rt);
+  std::vector<svc::Session> sessions;
   for (int i = 0; i < n; ++i)
-    rt.with_process<core::ElectionProcess>(i, [](core::ElectionProcess& p) {
-      p.election().request();
-      return 0;
-    });
-  const bool ok = rt.run(
-      [&rt, n] {
-        for (int i = 0; i < n; ++i) {
-          const bool done = rt.with_process<core::ElectionProcess>(
-              i, [](core::ElectionProcess& p) { return p.election().done(); });
-          if (!done) return false;
-        }
-        return true;
-      },
-      20s);
-  ASSERT_TRUE(ok);
-  for (int i = 0; i < n; ++i) {
-    const auto leader = rt.with_process<core::ElectionProcess>(
-        i, [](core::ElectionProcess& p) { return p.election().leader(); });
-    EXPECT_EQ(leader, 100 - (n - 1));  // the smallest id
-  }
+    sessions.push_back(client.submit(i, svc::Election{}));
+  const auto res = client.await_all(sessions, {.timeout = 20s});
+  ASSERT_EQ(res, svc::AwaitResult::Done) << svc::await_result_name(res);
+  for (const svc::Session& s : sessions)
+    EXPECT_EQ(client.result(s).min_id, 100 - (n - 1));  // the smallest id
 }
 
 // The fault engine on both transports: crash storms, a flapping link,
@@ -295,7 +259,8 @@ TEST_P(RuntimeInjectorStorm, CeasesAndFreshRequestCompletes) {
   const std::unique_ptr<live::Runtime> rt =
       make_runtime(transport, topo, fs.seed);
   for (int i = 0; i < n; ++i)
-    rt->add_process(std::make_unique<core::PifProcess>(n - 1, 1));
+    rt->add_process(std::make_unique<svc::ServiceHost>(
+        svc::HostConfig{.degree = n - 1}));
 
   fault::RuntimeInjectorOptions io;
   io.step_duration = std::chrono::microseconds(200);
@@ -308,8 +273,8 @@ TEST_P(RuntimeInjectorStorm, CeasesAndFreshRequestCompletes) {
   const bool ok = rt->run(
       [&rt, &inj, &requested] {
         if (!inj.done()) return false;  // the fault still rages
-        return rt->with_process<core::PifProcess>(
-            0, [&requested](core::PifProcess& p) {
+        return rt->with_process<svc::ServiceHost>(
+            0, [&requested](svc::ServiceHost& p) {
               if (!requested.load()) {
                 if (!p.pif().done()) return false;
                 p.pif().request(Value::text("post-storm"));
@@ -355,15 +320,16 @@ TEST(ThreadRuntime, ObservationsAreMonotonic) {
   const int n = 2;
   ThreadRuntime rt(n, {.seed = 17});
   for (int i = 0; i < n; ++i)
-    rt.add_process(std::make_unique<core::PifProcess>(n - 1, 1));
-  rt.with_process<core::PifProcess>(0, [](core::PifProcess& p) {
+    rt.add_process(std::make_unique<svc::ServiceHost>(
+        svc::HostConfig{.degree = n - 1}));
+  rt.with_process<svc::ServiceHost>(0, [](svc::ServiceHost& p) {
     p.pif().request(Value::integer(1));
     return 0;
   });
   rt.run(
       [&rt] {
-        return rt.with_process<core::PifProcess>(
-            0, [](core::PifProcess& p) { return p.pif().done(); });
+        return rt.with_process<svc::ServiceHost>(
+            0, [](svc::ServiceHost& p) { return p.pif().done(); });
       },
       10s);
   const auto obs = rt.observations();

@@ -47,7 +47,7 @@ template <typename MakeScheduler>
 std::string pif_trace(MakeScheduler&& make, bool wrap) {
   auto sim = golden::pif_world(4, 1, /*seed=*/7);
   for (int p = 0; p < 4; ++p)
-    sim->process_as<core::PifProcess>(p).pif().request(Value::integer(100 + p));
+    sim->process_as<svc::ServiceHost>(p).pif().request(Value::integer(100 + p));
   std::unique_ptr<sim::Scheduler> sched = make();
   if (wrap) sched = std::make_unique<VirtualWrapper>(std::move(sched));
   sim->set_scheduler(std::move(sched));
@@ -102,7 +102,7 @@ TEST(SealedDispatch, StepEdgeIsACacheNotIdentity) {
 
 std::unique_ptr<sim::Simulator> requested_pif_world(std::uint64_t seed) {
   auto sim = golden::pif_world(4, 1, seed);
-  sim->process_as<core::PifProcess>(0).pif().request(Value::integer(1));
+  sim->process_as<svc::ServiceHost>(0).pif().request(Value::integer(1));
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(seed));
   return sim;
 }

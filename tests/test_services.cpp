@@ -3,16 +3,29 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <numeric>
 #include <set>
 
-#include "core/stack.hpp"
 #include "sim/fuzz.hpp"
 #include "sim/simulator.hpp"
+#include "svc/client.hpp"
 
 namespace snapstab::core {
 namespace {
 
 using sim::Simulator;
+
+// Submits a session of `d` at each of `origins` and awaits them all.
+template <typename D>
+svc::AwaitResult serve(Simulator& sim,
+                       const std::vector<sim::ProcessId>& origins, const D& d,
+                       std::uint64_t max_steps) {
+  svc::Client client(sim);
+  std::vector<svc::Session> sessions;
+  for (const sim::ProcessId p : origins)
+    sessions.push_back(client.submit(p, d));
+  return client.await_all(sessions, {.max_steps = max_steps});
+}
 
 TEST(Reset, RunsTheHookEverywhereExactlyOnce) {
   const int n = 4;
@@ -20,16 +33,13 @@ TEST(Reset, RunsTheHookEverywhereExactlyOnce) {
   std::vector<int> hook_runs(static_cast<std::size_t>(n), 0);
   for (int i = 0; i < n; ++i) {
     auto* counter = &hook_runs[static_cast<std::size_t>(i)];
-    sim.add_process(std::make_unique<ResetProcess>(
-        n - 1, 1, [counter](sim::Context&) { ++*counter; }));
+    sim.add_process(std::make_unique<svc::ServiceHost>(svc::HostConfig{
+        .degree = n - 1,
+        .with_reset = true,
+        .on_reset = [counter](sim::Context&) { ++*counter; }}));
   }
   sim.set_scheduler(std::make_unique<sim::RandomScheduler>(2));
-  request_reset(sim, 0);
-  ASSERT_EQ(sim.run(400'000,
-                    [](Simulator& s) {
-                      return s.process_as<ResetProcess>(0).reset().done();
-                    }),
-            Simulator::StopReason::Predicate);
+  ASSERT_EQ(serve(sim, {0}, svc::Reset{}, 400'000), svc::AwaitResult::Done);
   for (int i = 0; i < n; ++i)
     EXPECT_EQ(hook_runs[static_cast<std::size_t>(i)], 1) << "p" << i;
 }
@@ -39,17 +49,13 @@ TEST(Reset, FlushesInitiatorChannels) {
   // initiator's channels hold no pre-reset message at the decision.
   Simulator sim(3, 1, 3);
   for (int i = 0; i < 3; ++i)
-    sim.add_process(std::make_unique<ResetProcess>(2, 1));
+    sim.add_process(std::make_unique<svc::ServiceHost>(
+        svc::HostConfig{.degree = 2, .with_reset = true}));
   const Value marker = Value::text("pre-reset");
   sim.network().channel(1, 0).push(Message::pif(marker, marker, 1, 2));
   sim.network().channel(0, 2).push(Message::pif(marker, marker, 0, 3));
   sim.set_scheduler(std::make_unique<sim::RandomScheduler>(4));
-  request_reset(sim, 0);
-  ASSERT_EQ(sim.run(400'000,
-                    [](Simulator& s) {
-                      return s.process_as<ResetProcess>(0).reset().done();
-                    }),
-            Simulator::StopReason::Predicate);
+  ASSERT_EQ(serve(sim, {0}, svc::Reset{}, 400'000), svc::AwaitResult::Done);
   for (int other : {1, 2}) {
     for (const auto& m : sim.network().channel(other, 0).contents())
       EXPECT_NE(m.b, marker);
@@ -64,18 +70,16 @@ TEST(Reset, WorksFromFuzzedConfigurations) {
     std::vector<int> hook_runs(3, 0);
     for (int i = 0; i < 3; ++i) {
       auto* counter = &hook_runs[static_cast<std::size_t>(i)];
-      sim.add_process(std::make_unique<ResetProcess>(
-          2, 1, [counter](sim::Context&) { ++*counter; }));
+      sim.add_process(std::make_unique<svc::ServiceHost>(svc::HostConfig{
+          .degree = 2,
+          .with_reset = true,
+          .on_reset = [counter](sim::Context&) { ++*counter; }}));
     }
     Rng rng(seed * 99);
     sim::fuzz(sim, rng);
     sim.set_scheduler(std::make_unique<sim::RandomScheduler>(seed));
-    request_reset(sim, 1);
-    ASSERT_EQ(sim.run(400'000,
-                      [](Simulator& s) {
-                        return s.process_as<ResetProcess>(1).reset().done();
-                      }),
-              Simulator::StopReason::Predicate)
+    ASSERT_EQ(serve(sim, {1}, svc::Reset{}, 400'000),
+              svc::AwaitResult::Done)
         << "seed=" << seed;
     for (int i = 0; i < 3; ++i)
       EXPECT_GE(hook_runs[static_cast<std::size_t>(i)], 1)
@@ -89,9 +93,12 @@ TEST(Reset, GhostResetOrdersAreHarmlessButExecuted) {
   // running a reset twice must be acceptable to the application anyway).
   Simulator sim(2, 1, 7);
   int hook_runs = 0;
-  sim.add_process(std::make_unique<ResetProcess>(1, 1));
-  sim.add_process(std::make_unique<ResetProcess>(
-      1, 1, [&hook_runs](sim::Context&) { ++hook_runs; }));
+  sim.add_process(std::make_unique<svc::ServiceHost>(
+      svc::HostConfig{.degree = 1, .with_reset = true}));
+  sim.add_process(std::make_unique<svc::ServiceHost>(svc::HostConfig{
+      .degree = 1,
+      .with_reset = true,
+      .on_reset = [&hook_runs](sim::Context&) { ++hook_runs; }}));
   // Ghost broadcast with the brd-firing flag (3 = flag_bound - 1).
   sim.network().channel(0, 1).push(Message::pif(
       Value::token(Token::Reset), Value::none(), 3, 0));
@@ -105,18 +112,14 @@ TEST(Snapshot, CollectsEveryLocalState) {
   std::vector<std::int64_t> app_state = {100, 200, 300, 400};
   for (int i = 0; i < n; ++i) {
     auto* cell = &app_state[static_cast<std::size_t>(i)];
-    sim.add_process(std::make_unique<SnapshotProcess>(
-        n - 1, 1, [cell] { return Value::integer(*cell); }));
+    sim.add_process(std::make_unique<svc::ServiceHost>(svc::HostConfig{
+        .degree = n - 1,
+        .with_snapshot = true,
+        .local_state = [cell] { return Value::integer(*cell); }}));
   }
   sim.set_scheduler(std::make_unique<sim::RandomScheduler>(42));
-  request_snapshot(sim, 0);
-  ASSERT_EQ(sim.run(400'000,
-                    [](Simulator& s) {
-                      return s.process_as<SnapshotProcess>(0).snapshot()
-                          .done();
-                    }),
-            Simulator::StopReason::Predicate);
-  const auto& snap = sim.process_as<SnapshotProcess>(0).snapshot();
+  ASSERT_EQ(serve(sim, {0}, svc::Snapshot{}, 400'000), svc::AwaitResult::Done);
+  const auto& snap = sim.process_as<svc::ServiceHost>(0).snapshot();
   EXPECT_EQ(snap.own_state(), Value::integer(100));
   // Channel k of process 0 is process k+1.
   EXPECT_EQ(snap.collected()[0], Value::integer(200));
@@ -129,21 +132,20 @@ TEST(Snapshot, StateReadAfterQueryArrival) {
   // initial state: bump the state when the query lands.
   Simulator sim(2, 1, 43);
   std::int64_t state = 7;
-  sim.add_process(std::make_unique<SnapshotProcess>(
-      1, 1, [] { return Value::integer(0); }));
-  sim.add_process(std::make_unique<SnapshotProcess>(1, 1, [&state] {
-    return Value::integer(state++);  // changes at every read
-  }));
+  sim.add_process(std::make_unique<svc::ServiceHost>(svc::HostConfig{
+      .degree = 1,
+      .with_snapshot = true,
+      .local_state = [] { return Value::integer(0); }}));
+  sim.add_process(std::make_unique<svc::ServiceHost>(svc::HostConfig{
+      .degree = 1,
+      .with_snapshot = true,
+      .local_state = [&state] {
+        return Value::integer(state++);  // changes at every read
+      }}));
   sim.set_scheduler(std::make_unique<sim::RandomScheduler>(44));
-  request_snapshot(sim, 0);
-  ASSERT_EQ(sim.run(200'000,
-                    [](Simulator& s) {
-                      return s.process_as<SnapshotProcess>(0).snapshot()
-                          .done();
-                    }),
-            Simulator::StopReason::Predicate);
+  ASSERT_EQ(serve(sim, {0}, svc::Snapshot{}, 200'000), svc::AwaitResult::Done);
   // Exactly one genuine read happened at the peer for this computation.
-  EXPECT_EQ(sim.process_as<SnapshotProcess>(0).snapshot().collected()[0],
+  EXPECT_EQ(sim.process_as<svc::ServiceHost>(0).snapshot().collected()[0],
             Value::integer(7));
 }
 
@@ -152,20 +154,17 @@ TEST(Snapshot, WorksFromFuzzedConfigurations) {
     const int n = 3;
     Simulator sim(n, 1, seed);
     for (int i = 0; i < n; ++i)
-      sim.add_process(std::make_unique<SnapshotProcess>(
-          n - 1, 1, [i] { return Value::integer(1000 + i); }));
+      sim.add_process(std::make_unique<svc::ServiceHost>(svc::HostConfig{
+          .degree = n - 1,
+          .with_snapshot = true,
+          .local_state = [i] { return Value::integer(1000 + i); }}));
     Rng rng(seed * 101);
     sim::fuzz(sim, rng);
     sim.set_scheduler(std::make_unique<sim::RandomScheduler>(seed));
-    request_snapshot(sim, 2);
-    ASSERT_EQ(sim.run(400'000,
-                      [](Simulator& s) {
-                        return s.process_as<SnapshotProcess>(2).snapshot()
-                            .done();
-                      }),
-              Simulator::StopReason::Predicate)
+    ASSERT_EQ(serve(sim, {2}, svc::Snapshot{}, 400'000),
+              svc::AwaitResult::Done)
         << "seed=" << seed;
-    const auto& snap = sim.process_as<SnapshotProcess>(2).snapshot();
+    const auto& snap = sim.process_as<svc::ServiceHost>(2).snapshot();
     // peer_of(2, 0) = 0, peer_of(2, 1) = 1 for n = 3.
     EXPECT_EQ(snap.collected()[0], Value::integer(1000)) << "seed=" << seed;
     EXPECT_EQ(snap.collected()[1], Value::integer(1001)) << "seed=" << seed;
@@ -178,8 +177,10 @@ std::unique_ptr<Simulator> election_world(
   const int n = static_cast<int>(ids.size());
   auto sim = std::make_unique<Simulator>(n, 1, seed);
   for (int i = 0; i < n; ++i)
-    sim->add_process(std::make_unique<ElectionProcess>(
-        ids[static_cast<std::size_t>(i)], n - 1, 1));
+    sim->add_process(std::make_unique<svc::ServiceHost>(svc::HostConfig{
+        .id = ids[static_cast<std::size_t>(i)],
+        .degree = n - 1,
+        .with_election = true}));
   return sim;
 }
 
@@ -187,22 +188,14 @@ TEST(Election, AllAgreeOnLeaderAndRanking) {
   const std::vector<std::int64_t> ids = {40, 10, 30, 20};
   auto sim = election_world(ids, 1);
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(2));
-  for (int p = 0; p < 4; ++p) request_election(*sim, p);
-  ASSERT_EQ(sim->run(800'000,
-                     [](Simulator& s) {
-                       for (int p = 0; p < 4; ++p)
-                         if (!s.process_as<ElectionProcess>(p).election()
-                                  .done())
-                           return false;
-                       return true;
-                     }),
-            Simulator::StopReason::Predicate);
+  ASSERT_EQ(serve(*sim, {0, 1, 2, 3}, svc::Election{}, 800'000),
+            svc::AwaitResult::Done);
 
   const std::vector<std::int64_t> sorted = {10, 20, 30, 40};
   std::set<int> ranks;
   int leaders = 0;
   for (int p = 0; p < 4; ++p) {
-    auto& election = sim->process_as<ElectionProcess>(p).election();
+    auto& election = sim->process_as<svc::ServiceHost>(p).election();
     EXPECT_EQ(election.leader(), 10);
     EXPECT_EQ(election.members(), sorted);
     ranks.insert(election.rank());
@@ -211,7 +204,7 @@ TEST(Election, AllAgreeOnLeaderAndRanking) {
   EXPECT_EQ(ranks, (std::set<int>{0, 1, 2, 3}));  // a true permutation
   EXPECT_EQ(leaders, 1);
   // Rank 0 belongs to the leader.
-  EXPECT_EQ(sim->process_as<ElectionProcess>(1).election().rank(), 0);
+  EXPECT_EQ(sim->process_as<svc::ServiceHost>(1).election().rank(), 0);
 }
 
 class ElectionProperty
@@ -227,22 +220,17 @@ TEST_P(ElectionProperty, ConsistentFromArbitraryConfigurations) {
   Rng rng(seed ^ 0xE1EC);
   sim::fuzz(*sim, rng);
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(seed + 1));
-  for (int p = 0; p < n; ++p) request_election(*sim, p);
-  ASSERT_EQ(sim->run(2'000'000,
-                     [n](Simulator& s) {
-                       for (int p = 0; p < n; ++p)
-                         if (!s.process_as<ElectionProcess>(p).election()
-                                  .done())
-                           return false;
-                       return true;
-                     }),
-            Simulator::StopReason::Predicate);
+  // Each session queues behind its process's ghost computation.
+  std::vector<sim::ProcessId> all(static_cast<std::size_t>(n));
+  std::iota(all.begin(), all.end(), 0);
+  ASSERT_EQ(serve(*sim, all, svc::Election{}, 2'000'000),
+            svc::AwaitResult::Done);
 
   std::int64_t expected_leader = ids[0];
   for (const auto id : ids) expected_leader = std::min(expected_leader, id);
   std::set<int> ranks;
   for (int p = 0; p < n; ++p) {
-    auto& election = sim->process_as<ElectionProcess>(p).election();
+    auto& election = sim->process_as<svc::ServiceHost>(p).election();
     EXPECT_EQ(election.leader(), expected_leader);
     ranks.insert(election.rank());
   }

@@ -37,7 +37,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/stack.hpp"
 #include "fault/plan.hpp"
 #include "fault/runtime_injector.hpp"
 #include "net/socket_runtime.hpp"
@@ -206,9 +205,11 @@ bool run_every_service(Backend& backend, const sim::Topology& topo,
   std::vector<svc::Session> sessions = {pif, idl, reset, snap, td, fwd};
   for (int p = 0; p < topo.process_count(); ++p)
     sessions.push_back(client.submit(p, svc::Election{}));
-  if (!client.run_until(sessions, {.max_steps = 20'000'000,
-                                   .timeout = 60'000ms})) {
-    *why = "sessions did not complete";
+  const auto res = client.await_all(
+      sessions, {.max_steps = 20'000'000, .timeout = 60'000ms});
+  if (res != svc::AwaitResult::Done) {
+    *why = std::string("sessions did not complete: ") +
+           svc::await_result_name(res);
     for (const auto& s : sessions)
       if (client.state(s) != svc::SessionState::Done)
         *why += std::string(" [") + svc::service_name(s.key.service) + "]";
@@ -235,7 +236,8 @@ template <typename Backend>
 bool run_cs_grant(Backend& backend, bool* granted) {
   svc::Client client(backend);
   const svc::Session cs = client.submit(1, svc::CriticalSection{});
-  if (!client.run_until(cs, {.max_steps = 20'000'000, .timeout = 60'000ms}))
+  if (client.await_all({cs}, {.max_steps = 20'000'000,
+                              .timeout = 60'000ms}) != svc::AwaitResult::Done)
     return false;
   *granted = client.result(cs).cs_granted;
   return true;
@@ -359,7 +361,8 @@ TEST(SocketLoopback, CorruptDatagramsAreCountedAndDropped) {
   const int n = 3;
   net::SocketRuntime srt(n, {.seed = 77});
   for (int p = 0; p < n; ++p)
-    srt.add_process(std::make_unique<core::PifProcess>(n - 1, 1));
+    srt.add_process(std::make_unique<svc::ServiceHost>(
+        svc::HostConfig{.degree = n - 1}));
   srt.start();
 
   // A storm of hostile datagrams: pure noise (dies at the magic), plus
@@ -386,14 +389,14 @@ TEST(SocketLoopback, CorruptDatagramsAreCountedAndDropped) {
     }
   }
 
-  srt.with_process<core::PifProcess>(0, [](core::PifProcess& p) {
+  srt.with_process<svc::ServiceHost>(0, [](svc::ServiceHost& p) {
     p.pif().request(Value::text("through the noise"));
     return 0;
   });
   const bool done = srt.run(
       [&srt] {
-        return srt.with_process<core::PifProcess>(
-            0, [](core::PifProcess& p) { return p.pif().done(); });
+        return srt.with_process<svc::ServiceHost>(
+            0, [](svc::ServiceHost& p) { return p.pif().done(); });
       },
       30'000ms);
   // Give the drain loops a moment to swallow any remaining hostile
@@ -437,11 +440,12 @@ TEST(SocketLoopback, RecoversFromInjectedDatagramLoss) {
         p, svc::PifBroadcast{Value::integer(9000 + p)}));
     sessions.push_back(client.submit(p, svc::Election{}));
   }
-  const bool done = client.run_until(sessions, {.timeout = 60'000ms});
+  const auto res = client.await_all(sessions, {.timeout = 60'000ms});
   srt.shutdown();
   const auto stats = srt.wire_stats();
-  ASSERT_TRUE(done) << "repro: socket loss run, seed=" << kSeed
-                    << " loss_rate=0.15 n=" << n;
+  ASSERT_EQ(res, svc::AwaitResult::Done)
+      << svc::await_result_name(res) << " repro: socket loss run, seed="
+      << kSeed << " loss_rate=0.15 n=" << n;
   EXPECT_GT(stats.loss_drops, 0u) << "the loss filter never fired";
   for (const auto& s : sessions)
     EXPECT_TRUE(client.result(s).completed)
@@ -535,18 +539,19 @@ TEST(SocketMultiProcess, SigkillStallsAndRespawnRecovers) {
   opt.ports = ports;
   opt.local_nodes = {0};
   net::SocketRuntime srt(2, opt);
-  srt.add_process(std::make_unique<core::PifProcess>(1, 1));
+  srt.add_process(std::make_unique<svc::ServiceHost>(
+      svc::HostConfig{.degree = 1}));
   srt.start();
 
   const auto broadcast_done = [&srt](const char* text, int timeout_ms) {
-    srt.with_process<core::PifProcess>(0, [text](core::PifProcess& p) {
+    srt.with_process<svc::ServiceHost>(0, [text](svc::ServiceHost& p) {
       p.pif().request(Value::text(text));
       return 0;
     });
     return srt.run(
         [&srt] {
-          return srt.with_process<core::PifProcess>(
-              0, [](core::PifProcess& p) { return p.pif().done(); });
+          return srt.with_process<svc::ServiceHost>(
+              0, [](svc::ServiceHost& p) { return p.pif().done(); });
         },
         std::chrono::milliseconds(timeout_ms));
   };
@@ -571,8 +576,8 @@ TEST(SocketMultiProcess, SigkillStallsAndRespawnRecovers) {
   ASSERT_GT(child, 0);
   const bool recovered = srt.run(
       [&srt] {
-        return srt.with_process<core::PifProcess>(
-            0, [](core::PifProcess& p) { return p.pif().done(); });
+        return srt.with_process<svc::ServiceHost>(
+            0, [](svc::ServiceHost& p) { return p.pif().done(); });
       },
       20'000ms);
   EXPECT_TRUE(recovered);
@@ -606,7 +611,8 @@ TEST(SocketMultiProcess, InjectorDeliversTheSigkill) {
   opt.ports = ports;
   opt.local_nodes = {0};
   net::SocketRuntime srt(2, opt);
-  srt.add_process(std::make_unique<core::PifProcess>(1, 1));
+  srt.add_process(std::make_unique<svc::ServiceHost>(
+      svc::HostConfig{.degree = 1}));
   srt.start();
 
   const pid_t child = spawn_child_host(ports, /*self=*/1, /*seconds=*/30);
@@ -642,7 +648,8 @@ int run_socket_child(int argc, char** argv) {
   opt.local_nodes = {std::atoi(argv[4])};
   const int seconds = std::atoi(argv[5]);
   net::SocketRuntime rt(2, opt);
-  rt.add_process(std::make_unique<core::PifProcess>(1, 1));
+  rt.add_process(std::make_unique<svc::ServiceHost>(
+      svc::HostConfig{.degree = 1}));
   rt.start();
   std::this_thread::sleep_for(std::chrono::seconds(seconds));
   rt.shutdown();

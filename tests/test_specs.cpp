@@ -6,7 +6,6 @@
 #include <memory>
 
 #include "core/specs.hpp"
-#include "core/stack.hpp"
 #include "test_util.hpp"
 
 namespace snapstab::core {

@@ -16,7 +16,7 @@
 
 #include "core/forward_world.hpp"
 #include "core/specs.hpp"
-#include "core/stack.hpp"
+#include "golden_scenarios.hpp"
 #include "runtime/thread_runtime.hpp"
 #include "sim/fuzz.hpp"
 #include "sim/simulator.hpp"
@@ -33,9 +33,20 @@ using sim::Step;
 std::unique_ptr<Simulator> pif_host_world(int n, std::uint64_t seed) {
   auto sim = std::make_unique<Simulator>(n, 1, seed);
   for (int i = 0; i < n; ++i)
-    sim->add_process(std::make_unique<core::PifProcess>(n - 1, 1));
+    sim->add_process(std::make_unique<svc::ServiceHost>(
+        svc::HostConfig{.degree = n - 1}));
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(seed));
   return sim;
+}
+
+// Awaits `sessions`; a failure names the AwaitResult.
+::testing::AssertionResult all_done(Client& client,
+                                    const std::vector<Session>& sessions,
+                                    AwaitOptions opts = {}) {
+  const AwaitResult r = client.await_all(sessions, opts);
+  if (r == AwaitResult::Done) return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure() << "await_all: "
+                                       << await_result_name(r);
 }
 
 // ---------------------------------------------------------------------------
@@ -54,7 +65,7 @@ TEST(SvcSession, MirrorsThePapersRequestVariable) {
   // One activation of the host executes A1: the computation is In.
   sim->execute(Step::tick(0));
   EXPECT_EQ(client.state(s), SessionState::In);
-  ASSERT_TRUE(client.run_until(s));
+  ASSERT_TRUE(all_done(client, {s}));
   EXPECT_EQ(client.state(s), SessionState::Done);
   const SessionResult r = client.result(s);
   EXPECT_TRUE(r.completed);
@@ -74,7 +85,7 @@ TEST(SvcSession, CompletionCallbackFiresOnceWithKeyAndResult) {
         seen_key = k;
         seen_result = r;
       });
-  ASSERT_TRUE(client.run_until(s));
+  ASSERT_TRUE(all_done(client, {s}));
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(seen_key, s.key);
   EXPECT_TRUE(seen_result.completed);
@@ -85,7 +96,7 @@ TEST(SvcSession, ReleaseRecyclesTheHostRecord) {
   auto sim = pif_host_world(2, 3);
   Client client(*sim);
   const Session s = client.submit(0, PifBroadcast{Value::integer(1)});
-  ASSERT_TRUE(client.run_until(s));
+  ASSERT_TRUE(all_done(client, {s}));
   auto& host = sim->process_as<ServiceHost>(0);
   EXPECT_EQ(host.session_count(), 1);
   client.release(s);
@@ -112,7 +123,7 @@ TEST(SvcSession, SubmitWhileInQueuesInSubmissionOrder) {
   sim->execute(Step::tick(0));
   EXPECT_EQ(client.state(s1), SessionState::In);
   EXPECT_EQ(client.state(s2), SessionState::Wait);  // still queued
-  ASSERT_TRUE(client.run_until({s1, s2, s3}));
+  ASSERT_TRUE(all_done(client, {s1, s2, s3}));
   // The host ran the three computations strictly in submission order:
   // request and decision events appear b1, b2, b3.
   std::vector<Value> requests;
@@ -141,7 +152,7 @@ TEST(SvcSession, DuplicateSubmitCoalescesWithTheQueuedTwin) {
   EXPECT_FALSE(s2.coalesced);
   EXPECT_TRUE(s3.coalesced);
   EXPECT_EQ(s3.key, s2.key);
-  ASSERT_TRUE(client.run_until({s1, s2, s3}));
+  ASSERT_TRUE(all_done(client, {s1, s2, s3}));
   // Both callers' completion callbacks fired, chained on the one session.
   EXPECT_EQ(cb2, 1);
   EXPECT_EQ(cb3, 1);
@@ -157,19 +168,18 @@ TEST(SvcSession, DuplicateSubmitCoalescesWithTheQueuedTwin) {
 TEST(SvcSession, CriticalSectionSessionsQueueInsteadOfRefusing) {
   auto sim = std::make_unique<Simulator>(3, 1, 9);
   for (int i = 0; i < 3; ++i)
-    sim->add_process(std::make_unique<core::MeStackProcess>(i + 1, 2));
+    sim->add_process(std::make_unique<svc::ServiceHost>(
+        svc::HostConfig{.id = i + 1, .degree = 2, .with_me = true}));
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(9));
   Client client(*sim);
   const Session g1 = client.submit(1, CriticalSection{});
   const Session g2 = client.submit(1, CriticalSection{});  // queues (no false)
   EXPECT_FALSE(g2.coalesced);  // CS grants do not coalesce: two grants wanted
-  ASSERT_TRUE(client.run_until({g1, g2}));
+  ASSERT_TRUE(all_done(client, {g1, g2}));
   EXPECT_TRUE(client.result(g1).cs_granted);
   EXPECT_TRUE(client.result(g2).cs_granted);
-  // ...while the legacy shim still refuses a second request mid-service.
   const Session g3 = client.submit(1, CriticalSection{});
-  EXPECT_FALSE(core::request_cs(*sim, 1));
-  ASSERT_TRUE(client.run_until(g3));
+  ASSERT_TRUE(all_done(client, {g3}));
 }
 
 // ---------------------------------------------------------------------------
@@ -200,7 +210,7 @@ TEST(SvcServices, ResetElectionSnapshotTermdetectUniformSurface) {
   for (int p = 0; p < n; ++p)
     sessions.push_back(client.submit(p, Election{}));
   sessions.push_back(client.submit(2, Snapshot{}));
-  ASSERT_TRUE(client.run_until(sessions));
+  ASSERT_TRUE(all_done(client, sessions));
 
   for (int p = 0; p < n; ++p)
     EXPECT_GE(hooks[static_cast<std::size_t>(p)], 1) << "p" << p;
@@ -223,8 +233,8 @@ TEST(SvcServices, ResetElectionSnapshotTermdetectUniformSurface) {
 // ---------------------------------------------------------------------------
 
 TEST(SvcForward, AdmissionReasonsSurfaceThroughResult) {
-  auto sim = core::forward_world(sim::Topology::line(3), 1, 31,
-                                 core::Forward::Options{.hop_buffer = 1});
+  auto sim =
+      golden::fwd_world(sim::Topology::line(3), 31, 1, {.hop_buffer = 1});
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(31));
   Client client(*sim);
 
@@ -250,14 +260,14 @@ TEST(SvcForward, AdmissionReasonsSurfaceThroughResult) {
       client.submit(1, ForwardMsg{1, Value::integer(2'000'004)});
   EXPECT_EQ(self_full.admission, ForwardSubmit::SelfDestination);
 
-  ASSERT_TRUE(client.run_until({ok, self_ok}));
+  ASSERT_TRUE(all_done(client, {ok, self_ok}));
   EXPECT_EQ(client.result(ok).value, Value::integer(2'000'000));
   EXPECT_EQ(client.result(self_ok).value, Value::integer(2'000'003));
   EXPECT_TRUE(core::check_forward_spec(*sim).ok());
 }
 
 TEST(SvcForward, SessionCompletesAcrossAMidRunCorruptionBurst) {
-  auto sim = core::forward_world(sim::Topology::ring(5), 1, 41);
+  auto sim = golden::fwd_world(sim::Topology::ring(5), 41);
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(
       41, sim::LossOptions{.rate = 0.1, .max_consecutive = 4}));
   Client client(*sim);
@@ -265,7 +275,7 @@ TEST(SvcForward, SessionCompletesAcrossAMidRunCorruptionBurst) {
   // Phase 1: clean service.
   const Session a = client.submit(0, ForwardMsg{2, Value::integer(3'000'000)});
   const Session b = client.submit(3, ForwardMsg{1, Value::integer(3'000'001)});
-  ASSERT_TRUE(client.run_until({a, b}));
+  ASSERT_TRUE(all_done(client, {a, b}));
 
   // Mid-run corruption burst: scramble every hop handshake and queue, stuff
   // forged forwarding traffic into the channels.
@@ -279,7 +289,7 @@ TEST(SvcForward, SessionCompletesAcrossAMidRunCorruptionBurst) {
   // Phase 2: sessions submitted after the burst still complete...
   const Session c = client.submit(1, ForwardMsg{4, Value::integer(3'000'002)});
   const Session d = client.submit(2, ForwardMsg{0, Value::integer(3'000'003)});
-  ASSERT_TRUE(client.run_until({c, d}));
+  ASSERT_TRUE(all_done(client, {c, d}));
   EXPECT_EQ(client.result(c).value, Value::integer(3'000'002));
   EXPECT_EQ(client.result(d).value, Value::integer(3'000'003));
 
@@ -313,7 +323,7 @@ Transcript run_program(Backend& backend) {
   sessions.push_back(client.submit(0, PifBroadcast{Value::text("alpha")}));
   sessions.push_back(client.submit(1, PifBroadcast{Value::text("beta")}));
   sessions.push_back(client.submit(0, PifBroadcast{Value::text("gamma")}));
-  EXPECT_TRUE(client.run_until(sessions));
+  EXPECT_TRUE(all_done(client, sessions));
   Transcript t;
   for (const Session& s : sessions) {
     t.keys.push_back(s.key);
@@ -330,7 +340,8 @@ TEST(SvcBackends, IdenticalSessionTranscriptSimulatorVsThreadRuntime) {
 
   runtime::ThreadRuntime rt(n, {.seed = 51});
   for (int i = 0; i < n; ++i)
-    rt.add_process(std::make_unique<core::PifProcess>(n - 1, 1));
+    rt.add_process(std::make_unique<svc::ServiceHost>(
+        svc::HostConfig{.degree = n - 1}));
   const Transcript rt_transcript = run_program(rt);
 
   EXPECT_EQ(sim_transcript, rt_transcript);
@@ -342,39 +353,7 @@ TEST(SvcBackends, IdenticalSessionTranscriptSimulatorVsThreadRuntime) {
 }
 
 // ---------------------------------------------------------------------------
-// Sessions add no RNG draws: a session-driven world replays the exact
-// engine step sequence of a shim-driven one.
-// ---------------------------------------------------------------------------
-
-TEST(SvcDeterminism, SessionDriveMatchesShimDriveBitIdentically) {
-  const auto run_shim = [] {
-    auto sim = pif_host_world(4, 77);
-    core::request_pif(*sim, 0, Value::integer(7));
-    sim->run(100'000, [](Simulator& s) {
-      return s.process_as<core::PifProcess>(0).pif().done();
-    });
-    return sim;
-  };
-  const auto run_session = [] {
-    auto sim = pif_host_world(4, 77);
-    Client client(*sim);
-    const Session s = client.submit(0, PifBroadcast{Value::integer(7)});
-    EXPECT_TRUE(client.run_until(s));
-    return sim;
-  };
-  auto a = run_shim();
-  auto b = run_session();
-  EXPECT_EQ(a->metrics().steps, b->metrics().steps);
-  EXPECT_EQ(a->metrics().sends, b->metrics().sends);
-  EXPECT_EQ(a->metrics().deliveries, b->metrics().deliveries);
-  ASSERT_EQ(a->log().size(), b->log().size());
-  for (std::size_t i = 0; i < a->log().size(); ++i)
-    EXPECT_EQ(a->log().events()[i].to_string(), b->log().events()[i].to_string())
-        << "event " << i;
-}
-
-// ---------------------------------------------------------------------------
-// AwaitOptions hardening: a bounded run_until returns false instead of
+// AwaitOptions hardening: a bounded await returns BudgetExhausted instead of
 // spinning when sessions cannot complete, on both backends.
 // ---------------------------------------------------------------------------
 
@@ -386,25 +365,25 @@ TEST(SvcAwait, SimulatorBudgetExhaustionReturnsFalseAndIsRetryable) {
   // budget, not spin, and leave the session In.
   AwaitOptions tight;
   tight.max_steps = 3;
-  EXPECT_FALSE(client.run_until(s, tight));
+  EXPECT_EQ(client.await_all({s}, tight), AwaitResult::BudgetExhausted);
   EXPECT_EQ(sim->step_count(), 3u);
   EXPECT_FALSE(client.done(s));
   // A follow-up await with a real budget finishes the same session.
-  EXPECT_TRUE(client.run_until(s));
+  EXPECT_TRUE(all_done(client, {s}));
   EXPECT_TRUE(client.result(s).completed);
 }
 
 TEST(SvcAwait, RefusedForwardSessionIsDoneNotAwaitedForever) {
-  auto sim = core::forward_world(sim::Topology::line(3), 1, 92,
-                                 core::Forward::Options{.hop_buffer = 1});
+  auto sim =
+      golden::fwd_world(sim::Topology::line(3), 92, 1, {.hop_buffer = 1});
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(92));
   Client client(*sim);
   // dst 99 is not a process of this topology: refused at admission, born
-  // Done. run_until must see Done immediately (zero steps), with the
+  // Done. await_all must see Done immediately (zero steps), with the
   // refusal surfaced through the result, not loop on an unreachable goal.
   const Session s = client.submit(0, ForwardMsg{99, Value::integer(1)});
   EXPECT_EQ(s.admission, ForwardSubmit::NoRoute);
-  EXPECT_TRUE(client.run_until(s));
+  EXPECT_TRUE(all_done(client, {s}));
   EXPECT_EQ(sim->step_count(), 0u);
   const SessionResult r = client.result(s);
   EXPECT_FALSE(r.completed);
@@ -417,16 +396,16 @@ TEST(SvcAwait, ThreadRuntimeTimeoutReturnsFalseAndSecondAwaitDoesNotCrash) {
   // only end at the wall-clock budget.
   runtime::ThreadRuntime rt(n, {.loss_rate = 1.0, .seed = 93});
   for (int i = 0; i < n; ++i)
-    rt.add_process(std::make_unique<core::PifProcess>(n - 1, 1));
+    rt.add_process(std::make_unique<svc::ServiceHost>(
+        svc::HostConfig{.degree = n - 1}));
   Client client(rt);
   const Session s = client.submit(0, PifBroadcast{Value::integer(9)});
   AwaitOptions opts;
   opts.timeout = std::chrono::milliseconds(50);
-  EXPECT_FALSE(client.run_until(s, opts));
+  EXPECT_EQ(client.await_all({s}, opts), AwaitResult::BudgetExhausted);
   // The runtime keeps serving after a timeout: a retry awaits again and,
   // with the wave still impossible, times out again as a retryable budget
   // loss while the runtime is live.
-  EXPECT_FALSE(client.run_until(s, opts));
   EXPECT_EQ(client.await_all({s}, opts), AwaitResult::BudgetExhausted);
   EXPECT_FALSE(client.done(s));
 }
@@ -649,7 +628,7 @@ TEST(SvcResilience, BreakerPlusHedgeRunsAreDeterministic) {
 }
 
 // ---------------------------------------------------------------------------
-// AwaitResult: the typed verdict behind the bool shim — "more budget might
+// AwaitResult: the typed await verdict — "more budget might
 // finish this" (BudgetExhausted) vs "no budget ever will" (RuntimeDown).
 // ---------------------------------------------------------------------------
 
@@ -688,7 +667,8 @@ TEST(SvcAwait, ThreadRuntimeDistinguishesTimeoutFromDeadRuntime) {
   // an await report RuntimeDown.
   runtime::ThreadRuntime rt(n, {.loss_rate = 1.0, .seed = 95});
   for (int i = 0; i < n; ++i)
-    rt.add_process(std::make_unique<core::PifProcess>(n - 1, 1));
+    rt.add_process(std::make_unique<svc::ServiceHost>(
+        svc::HostConfig{.degree = n - 1}));
   Client client(rt);
   const Session s = client.submit(0, PifBroadcast{Value::integer(6)});
   AwaitOptions opts;

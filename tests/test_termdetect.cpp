@@ -10,9 +10,9 @@
 #include <deque>
 #include <memory>
 
-#include "core/stack.hpp"
 #include "sim/fuzz.hpp"
 #include "sim/simulator.hpp"
+#include "svc/client.hpp"
 
 namespace snapstab::core {
 namespace {
@@ -67,10 +67,20 @@ World token_world(int n, std::uint64_t seed) {
   w.sim = std::make_unique<Simulator>(n, 1, seed);
   for (int i = 0; i < n; ++i) {
     w.apps.push_back(std::make_unique<TokenApp>());
-    w.sim->add_process(std::make_unique<TermDetectProcess>(
-        n - 1, 1, w.apps.back()->hooks()));
+    w.sim->add_process(std::make_unique<svc::ServiceHost>(svc::HostConfig{
+        .degree = n - 1,
+        .with_termdetect = true,
+        .app = w.apps.back()->hooks()}));
   }
   return w;
+}
+
+// Submits a detection session at `p` and awaits it.
+svc::AwaitResult detect(Simulator& sim, sim::ProcessId p,
+                        std::uint64_t max_steps) {
+  svc::Client client(sim);
+  return client.await_all({client.submit(p, svc::TermDetect{})},
+                          {.max_steps = max_steps});
 }
 
 bool tokens_anywhere(const World& w) {
@@ -111,14 +121,8 @@ TEST(TermDetect, UnpackIsTotalOnGarbage) {
 TEST(TermDetect, IdleSystemClaimsInTwoWaves) {
   auto w = token_world(3, 1);
   w.sim->set_scheduler(std::make_unique<sim::RandomScheduler>(2));
-  request_termdetect(*w.sim, 0);
-  ASSERT_EQ(
-      w.sim->run(400'000,
-                 [](Simulator& s) {
-                   return s.process_as<TermDetectProcess>(0).detector().done();
-                 }),
-      Simulator::StopReason::Predicate);
-  const auto& detector = w.sim->process_as<TermDetectProcess>(0).detector();
+  ASSERT_EQ(detect(*w.sim, 0, 400'000), svc::AwaitResult::Done);
+  const auto& detector = w.sim->process_as<svc::ServiceHost>(0).detector();
   EXPECT_TRUE(detector.termination_claimed());
   EXPECT_EQ(detector.waves_used(), 2);
 }
@@ -136,13 +140,9 @@ TEST_P(TermDetectGame, NeverClaimsWhileTokensLiveAndClaimsAfter) {
         static_cast<int>(rng.below(12)));
 
   w.sim->set_scheduler(std::make_unique<sim::RandomScheduler>(seed + 1));
-  request_termdetect(*w.sim, 0);
-  const auto reason = w.sim->run(4'000'000, [](Simulator& s) {
-    return s.process_as<TermDetectProcess>(0).detector().done();
-  });
-  ASSERT_EQ(reason, Simulator::StopReason::Predicate);
+  ASSERT_EQ(detect(*w.sim, 0, 4'000'000), svc::AwaitResult::Done);
 
-  const auto& detector = w.sim->process_as<TermDetectProcess>(0).detector();
+  const auto& detector = w.sim->process_as<svc::ServiceHost>(0).detector();
   EXPECT_TRUE(detector.termination_claimed());
   // Safety, checked at the moment of the claim: no token held, none in
   // flight (the run stopped right at the decision step).
@@ -173,21 +173,17 @@ TEST(TermDetect, NonTerminatingApplicationNeverClaims) {
     ++work;  // every probe sees fresh activity
     return AppCounters{false, work, work};
   };
-  sim.add_process(std::make_unique<TermDetectProcess>(n - 1, 1, busy));
+  sim.add_process(std::make_unique<svc::ServiceHost>(
+      svc::HostConfig{.degree = n - 1, .with_termdetect = true, .app = busy}));
   DiffusingApp idle;
   idle.counters = [] { return AppCounters{true, 0, 0}; };
-  sim.add_process(std::make_unique<TermDetectProcess>(n - 1, 1, idle));
+  sim.add_process(std::make_unique<svc::ServiceHost>(
+      svc::HostConfig{.degree = n - 1, .with_termdetect = true, .app = idle}));
   sim.set_scheduler(std::make_unique<sim::RandomScheduler>(22));
-  request_termdetect(sim, 0);
-  EXPECT_EQ(sim.run(200'000,
-                    [](Simulator& s) {
-                      return s.process_as<TermDetectProcess>(0).detector()
-                          .done();
-                    }),
-            Simulator::StopReason::BudgetExhausted);
+  EXPECT_EQ(detect(sim, 0, 200'000), svc::AwaitResult::BudgetExhausted);
   EXPECT_FALSE(
-      sim.process_as<TermDetectProcess>(0).detector().termination_claimed());
-  EXPECT_GT(sim.process_as<TermDetectProcess>(0).detector().waves_used(), 2);
+      sim.process_as<svc::ServiceHost>(0).detector().termination_claimed());
+  EXPECT_GT(sim.process_as<svc::ServiceHost>(0).detector().waves_used(), 2);
 }
 
 TEST(TermDetect, SurvivesFuzzedProtocolState) {
@@ -214,12 +210,10 @@ TEST(TermDetect, SurvivesFuzzedProtocolState) {
       }
     w.apps[0]->held.push_back(4);  // one live token at the start
     w.sim->set_scheduler(std::make_unique<sim::RandomScheduler>(seed));
-    request_termdetect(*w.sim, 1);
-    const auto reason = w.sim->run(2'000'000, [](Simulator& s) {
-      return s.process_as<TermDetectProcess>(1).detector().done();
-    });
-    ASSERT_EQ(reason, Simulator::StopReason::Predicate) << "seed=" << seed;
-    EXPECT_TRUE(w.sim->process_as<TermDetectProcess>(1)
+    // The session queues behind p1's ghost detection, if any.
+    ASSERT_EQ(detect(*w.sim, 1, 2'000'000), svc::AwaitResult::Done)
+        << "seed=" << seed;
+    EXPECT_TRUE(w.sim->process_as<svc::ServiceHost>(1)
                     .detector()
                     .termination_claimed());
     EXPECT_FALSE(tokens_anywhere(w)) << "seed=" << seed;
@@ -229,22 +223,16 @@ TEST(TermDetect, SurvivesFuzzedProtocolState) {
 TEST(TermDetect, LoadedSystemUsesMoreWaves) {
   auto idle = token_world(3, 51);
   idle.sim->set_scheduler(std::make_unique<sim::RandomScheduler>(52));
-  request_termdetect(*idle.sim, 0);
-  idle.sim->run(400'000, [](Simulator& s) {
-    return s.process_as<TermDetectProcess>(0).detector().done();
-  });
+  detect(*idle.sim, 0, 400'000);
   const int idle_waves =
-      idle.sim->process_as<TermDetectProcess>(0).detector().waves_used();
+      idle.sim->process_as<svc::ServiceHost>(0).detector().waves_used();
 
   auto busy = token_world(3, 51);
   for (int t = 0; t < 6; ++t) busy.apps[0]->held.push_back(20);
   busy.sim->set_scheduler(std::make_unique<sim::RandomScheduler>(52));
-  request_termdetect(*busy.sim, 0);
-  busy.sim->run(4'000'000, [](Simulator& s) {
-    return s.process_as<TermDetectProcess>(0).detector().done();
-  });
+  detect(*busy.sim, 0, 4'000'000);
   const int busy_waves =
-      busy.sim->process_as<TermDetectProcess>(0).detector().waves_used();
+      busy.sim->process_as<svc::ServiceHost>(0).detector().waves_used();
   EXPECT_GT(busy_waves, idle_waves);
 }
 

@@ -5,7 +5,7 @@
 #include <set>
 
 #include "common/fenwick.hpp"
-#include "core/stack.hpp"
+#include "svc/host.hpp"
 #include "sim/simulator.hpp"
 #include "sim/topology.hpp"
 
@@ -151,8 +151,8 @@ std::unique_ptr<Simulator> pif_world_on(Topology topo, std::uint64_t seed) {
   const int n = topo.process_count();
   auto sim = std::make_unique<Simulator>(std::move(topo), std::size_t{1}, seed);
   for (ProcessId p = 0; p < n; ++p)
-    sim->add_process(std::make_unique<core::PifProcess>(
-        sim->topology().degree(p), /*channel_capacity=*/1));
+    sim->add_process(std::make_unique<svc::ServiceHost>(
+        svc::HostConfig{.degree = sim->topology().degree(p)}));
   return sim;
 }
 
@@ -168,11 +168,11 @@ TEST(TopologySim, PifCompletesOnSparseTopologies) {
   for (Topology& topo : shapes) {
     SCOPED_TRACE(topo.name());
     auto sim = pif_world_on(std::move(topo), 17);
-    sim->process_as<core::PifProcess>(0).pif().request(Value::integer(42));
+    sim->process_as<svc::ServiceHost>(0).pif().request(Value::integer(42));
     sim->set_scheduler(std::make_unique<sim::RandomScheduler>(17));
     const auto reason =
         sim->run(500'000, [](Simulator& s) {
-          return s.process_as<core::PifProcess>(0).pif().done();
+          return s.process_as<svc::ServiceHost>(0).pif().done();
         });
     EXPECT_EQ(reason, Simulator::StopReason::Predicate);
     // Every neighbor of the initiator saw the broadcast.
@@ -188,7 +188,7 @@ TEST(TopologySim, PifCompletesOnSparseTopologies) {
 TEST(TopologySim, SparseRunsAreDeterministic) {
   const auto run_once = [] {
     auto sim = pif_world_on(Topology::random_tree(9, 5), 23);
-    sim->process_as<core::PifProcess>(3).pif().request(Value::integer(1));
+    sim->process_as<svc::ServiceHost>(3).pif().request(Value::integer(1));
     sim->set_scheduler(std::make_unique<sim::RandomScheduler>(
         23, LossOptions{.rate = 0.2, .max_consecutive = 4}));
     sim->run(50'000);
